@@ -10,8 +10,8 @@
 //! the events/s delta side by side.
 //!
 //! The 12-group cell runs on the paper's AWS matrix; larger sizes extend
-//! it with a deterministic WAN ring, up to the sharded cells at 128 and
-//! 512 groups (the `DestSet` bitset ceiling). The workload is the
+//! it with a deterministic WAN ring, up to a 512-group cell (the
+//! `DestSet` bitset ceiling). The workload is the
 //! closed-loop gTPC-C harness with server processing delays zeroed out, so
 //! the simulator hot path — queue push/pop, link-state lookups, payload
 //! fan-out, history merges — dominates the profile rather than simulated
@@ -52,8 +52,6 @@ const DEFAULT_STRIDE: u32 = 1024;
 struct Cell {
     kind: &'static str,
     n_groups: usize,
-    /// Simulation shard count the cell ran at (1 = sequential core).
-    shards: usize,
     events: u64,
     sent: u64,
     peak_queue_depth: usize,
@@ -159,7 +157,6 @@ fn run_queue_cell(smoke: bool) -> Cell {
     Cell {
         kind: "queue12",
         n_groups: 12,
-        shards: 1,
         events: stats.events,
         sent: stats.sent_messages,
         peak_queue_depth: stats.peak_queue_depth,
@@ -181,7 +178,6 @@ fn run_cell(
     smoke: bool,
     advert_stride: Option<u32>,
     telemetry: Telemetry,
-    shards: usize,
 ) -> Cell {
     let matrix = synthetic_matrix(n_groups);
     let order = CDagOrder::nearest_neighbor_chain(&matrix, GroupId(0));
@@ -205,7 +201,7 @@ fn run_cell(
         server_processing_ms: 0.0,
         advert_stride,
         telemetry,
-        shards,
+        shards: 0,
     };
     let start = Instant::now();
     let world = run_world_on(&cfg, &matrix);
@@ -261,15 +257,12 @@ fn run_cell(
     Cell {
         kind: if traced {
             "world-traced"
-        } else if shards > 1 {
-            "world-sharded"
         } else if advert_stride.is_some() {
             "world"
         } else {
             "world-plain"
         },
         n_groups,
-        shards: world.shard_count(),
         events: stats.events,
         sent: stats.sent_messages,
         peak_queue_depth: stats.peak_queue_depth,
@@ -305,14 +298,13 @@ fn write_json(cells: &[Cell], stride: u32, path: &str) {
         };
         let _ = writeln!(
             out,
-            "    {{\"kind\": \"{}\", \"n_groups\": {}, \"shards\": {}, \"events\": {}, \"msgs\": {}, \
+            "    {{\"kind\": \"{}\", \"n_groups\": {}, \"events\": {}, \"msgs\": {}, \
              \"events_per_sec\": {:.0}, \"msgs_per_sec\": {:.0}, \
              \"peak_queue_depth\": {}, \"wall_secs\": {:.3}, \"sim_secs\": {:.3}, \
              \"delta_entries\": {}, \"delta_dups\": {}, \"dup_ratio\": {:.4}, \
              \"suppressed\": {}, \"adverts\": {}, \"completed\": {}, {}}}{}",
             c.kind,
             c.n_groups,
-            c.shards,
             c.events,
             c.sent,
             c.events_per_sec,
@@ -336,11 +328,10 @@ fn write_json(cells: &[Cell], stride: u32, path: &str) {
 
 fn print_cell(c: &Cell) {
     println!(
-        "  {:<13} n={:<4} sh={:<2} events={:<9} eps={:>11.0} msgs/s={:>11.0} peakq={:<7} \
+        "  {:<13} n={:<4} events={:<9} eps={:>11.0} msgs/s={:>11.0} peakq={:<7} \
          dup%={:>5.1} sup={:<8} adverts={:<7} txns={:<6} wall={:.3}s",
         c.kind,
         c.n_groups,
-        c.shards,
         c.events,
         c.events_per_sec,
         c.msgs_per_sec,
@@ -379,12 +370,6 @@ fn main() {
         .position(|a| a == "--trace-out")
         .and_then(|i| args.get(i + 1))
         .cloned();
-    let shards: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--shards takes a number"))
-        .unwrap_or(4);
 
     println!(
         "events sweep: full FlexCast world, {} mode, advert stride {stride}",
@@ -406,9 +391,9 @@ fn main() {
     for &n in &sizes {
         // Plain first, then suppressed, so the reduction prints with the
         // suppressed cell while both are fresh.
-        let plain = run_cell(n, smoke, None, Telemetry::disabled(), 1);
+        let plain = run_cell(n, smoke, None, Telemetry::disabled());
         print_cell(&plain);
-        let sup = run_cell(n, smoke, Some(stride), Telemetry::disabled(), 1);
+        let sup = run_cell(n, smoke, Some(stride), Telemetry::disabled());
         print_cell(&sup);
         let reduction = if plain.delta_dups == 0 {
             0.0
@@ -430,23 +415,8 @@ fn main() {
         cells.push(sup);
     }
 
-    // Sharded cells: the largest regular size on the parallel core, plus
-    // the 512-group world that only fits the run budget when sharded.
-    // Their delivered traces are bit-identical to the sequential cells
-    // (the lockstep suite proves it); what's measured here is wall clock.
-    if shards > 1 {
-        let n = *sizes.last().expect("sweep has sizes");
-        let sharded = run_cell(n, smoke, Some(stride), Telemetry::disabled(), shards);
-        print_cell(&sharded);
-        cells.push(sharded);
-    }
-    let big = run_cell(
-        512,
-        smoke,
-        Some(stride),
-        Telemetry::disabled(),
-        shards.max(1),
-    );
+    // The 512-group world runs with adverts only; it has no plain twin.
+    let big = run_cell(512, smoke, Some(stride), Telemetry::disabled());
     print_cell(&big);
     cells.push(big);
 
@@ -455,7 +425,7 @@ fn main() {
     if let Some(path) = &trace_out {
         let tel = Telemetry::enabled();
         let n = *sizes.last().expect("sweep has sizes");
-        let traced = run_cell(n, smoke, Some(stride), tel.clone(), 1);
+        let traced = run_cell(n, smoke, Some(stride), tel.clone());
         print_cell(&traced);
         std::fs::write(path, tel.trace_json()).expect("write trace JSON");
         let metrics_path = match path.strip_suffix(".json") {

@@ -206,16 +206,14 @@ pub fn run_adversary<M, A, Adv>(
     max_events: u64,
 ) -> AdversaryRun
 where
-    M: Clone + Send,
-    A: Actor<M> + Send,
+    M: Clone,
+    A: Actor<M>,
     Adv: Adversary + ?Sized,
 {
     // Purely pre-scheduled adversaries (the `run_schedule` compat path)
-    // opt out of the observation plane: probes stay off and the world
-    // free-runs between actions via `run_until` — which both skips the
-    // per-event drain/dispatch round-trip and lets multi-shard worlds
-    // engage the parallel executor. Observing adversaries must see every
-    // event boundary, so they stay on the sequential step loop.
+    // opt out of the observation plane: probes stay off and the step loop
+    // skips the drain/dispatch round-trip, so scripted runs cost exactly
+    // what the pre-redesign timed driver cost.
     let observing = adversary.wants_observations();
     if observing {
         world.enable_probes();
@@ -258,48 +256,6 @@ where
     let mut ctx = FaultCtx::new(world.now());
     adversary.on_start(&mut ctx);
     enqueue(&mut pending, &mut pseq, ctx);
-
-    if !observing {
-        // Batched driver: free-run to each action time (events scheduled
-        // at or before it run first — the same tie-break as the stepping
-        // loop below), fire the action, repeat; finish with a plain run
-        // to quiescence. Equivalent to stepping because nothing observes
-        // intermediate events.
-        loop {
-            let Some(Reverse(head)) = pending.peek() else {
-                n += world.run_to_quiescence(max_events - n);
-                break;
-            };
-            let at = head.at;
-            n += world.run_until(at);
-            assert!(
-                n < max_events,
-                "simulation did not quiesce after {max_events} events"
-            );
-            let Reverse(p) = pending.pop().expect("peeked above");
-            actions_applied += 1;
-            assert!(
-                actions_applied <= max_events,
-                "adversary fired {actions_applied} actions without the world quiescing"
-            );
-            match p.act {
-                AdvAction::Fault(ev) => {
-                    if let Err(e) = try_apply_event(world, &ev) {
-                        panic!("adversary scheduled an invalid fault {ev:?}: {e}");
-                    }
-                    fired.push((p.at, ev));
-                }
-                AdvAction::Wake(token) => {
-                    let obs = Observation::TimeReached { token, at: p.at };
-                    dispatch(adversary, &obs, p.at, &mut pending, &mut pseq);
-                }
-            }
-        }
-        return AdversaryRun {
-            processed_events: n,
-            actions: fired,
-        };
-    }
 
     loop {
         let next_act = pending.peek().map(|Reverse(p)| p.at);
@@ -389,7 +345,7 @@ where
 ///
 /// Panics if the world fails to quiesce within `max_events` (a livelock:
 /// some actor keeps re-arming timers or resending forever).
-pub fn run_schedule<M: Clone + Send, A: Actor<M> + Send>(
+pub fn run_schedule<M: Clone, A: Actor<M>>(
     world: &mut World<M, A>,
     schedule: &FaultSchedule,
     max_events: u64,

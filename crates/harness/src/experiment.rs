@@ -76,11 +76,10 @@ pub struct ExperimentConfig {
     /// (read back through this handle's `trace_json`). Cloning the config
     /// shares the same underlying registry.
     pub telemetry: Telemetry,
-    /// Simulation shard count. `0` (the default everywhere) defers to the
-    /// `FLEX_SHARDS` environment variable, falling back to `1` (the
-    /// sequential core). Any value is safe: the sharded core's delivered
-    /// trace is bit-identical to sequential at every shard count, and the
-    /// world clamps the count to the region count.
+    /// Shard attribution count for `World::set_shards`, resolved by
+    /// [`resolve_shards`]. It only labels events by site block in
+    /// `SimStats::events_by_shard`; execution is always sequential. Kept
+    /// for the benchmark crate `perfbench/`.
     pub shards: usize,
 }
 
@@ -130,9 +129,10 @@ impl ExperimentConfig {
     }
 }
 
-/// Resolves a config's shard count: an explicit value wins, `0` defers to
-/// the `FLEX_SHARDS` environment variable (how CI runs the whole suite
-/// sharded without touching configs), and the fallback is `1`.
+/// Resolves a config's shard attribution count: an explicit value wins,
+/// `0` defers to the `FLEX_SHARDS` environment variable, and the fallback
+/// is `1`. Execution is sequential whatever it returns; kept for the
+/// benchmark crate `perfbench/`, which records it in its host block.
 pub fn resolve_shards(cfg_shards: usize) -> usize {
     if cfg_shards > 0 {
         return cfg_shards;

@@ -20,7 +20,6 @@ pub mod fault;
 pub mod link;
 pub mod linkstate;
 pub mod obs;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod world;
@@ -29,7 +28,6 @@ pub use fault::LinkFault;
 pub use link::LinkModel;
 pub use linkstate::LinkState;
 pub use obs::Observation;
-pub use shard::ShardMap;
 pub use stats::{Percentiles, SimStats, Summary};
 pub use time::SimTime;
-pub use world::{Actor, Ctx, ProcessId, ShardExecution, World};
+pub use world::{Actor, Ctx, ProcessId, World};

@@ -25,8 +25,10 @@ pub struct SimStats {
     pub peak_queue_depth: usize,
     /// Simulated time reached.
     pub sim_time: SimTime,
-    /// Events processed per shard, indexed by shard id. Sums to `events`;
-    /// a single entry on a sequential world.
+    /// Events processed per attribution block of
+    /// [`World::set_shards`](crate::World::set_shards), indexed by block.
+    /// Sums to `events`; a single entry unless `set_shards` was called.
+    /// Kept for the benchmark crate `perfbench/`.
     pub events_by_shard: Vec<u64>,
 }
 
@@ -53,10 +55,6 @@ impl SimStats {
     /// Publishes the counter block into a telemetry registry under the
     /// `sim.` prefix. Uses absolute sets, so re-exporting after further
     /// progress overwrites rather than double-counts.
-    ///
-    /// Per-shard counts are deliberately *not* exported: the metrics JSON
-    /// must stay byte-identical across shard counts, and `events_by_shard`
-    /// is the one field that legitimately varies with the cut.
     pub fn export_metrics(&self, tel: &Telemetry) {
         if !tel.is_enabled() {
             return;

@@ -1,16 +1,14 @@
-//! The simulation world: actors, sharded event queues, and FIFO links.
+//! The simulation world: actors, event queue, and FIFO links.
 
 use crate::linkstate::LinkState;
 use crate::obs::Observation;
-use crate::shard::ShardMap;
 use crate::stats::SimStats;
 use crate::{LinkFault, LinkModel, SimTime};
-use flexcast_telemetry::{Telemetry, TelemetryOp};
+use flexcast_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::mpsc;
 
 /// Identifier of a simulated process (index into the actor table).
 pub type ProcessId = usize;
@@ -140,8 +138,7 @@ enum Event<M> {
 }
 
 impl<M> Event<M> {
-    /// The process this event executes on — and therefore the shard
-    /// whose queue owns it.
+    /// The process this event executes on.
     fn target(&self) -> ProcessId {
         match self {
             Event::Deliver { to, .. } => *to,
@@ -191,25 +188,6 @@ enum SendFate {
     DeliverDup { dup_at: SimTime, at: SimTime },
 }
 
-/// How a multi-shard world executes its shards (see
-/// [`World::set_shard_execution`]). The choice is an execution-strategy
-/// knob only: the committed event sequence is bit-identical under every
-/// variant, which is exactly the sharded core's determinism invariant.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ShardExecution {
-    /// Worker threads when the host has more than one CPU, the inline
-    /// loop otherwise. On a single core, worker threads cannot overlap
-    /// anything and each event would pay two context switches — the
-    /// inline loop runs the same shard queues at sequential speed.
-    #[default]
-    Auto,
-    /// Always run shard queues inline on the calling thread.
-    Inline,
-    /// Always spawn one worker per shard (useful for exercising the
-    /// threaded executor in tests regardless of host parallelism).
-    Threads,
-}
-
 /// A deterministic discrete-event world hosting actors of type `A`.
 ///
 /// Guarantees:
@@ -233,22 +211,17 @@ pub struct World<M, A: Actor<M>> {
     link: LinkModel,
     now: SimTime,
     seq: u64,
-    /// Per-shard event queues, payloads inline (see [`HeapEntry`]).
-    /// Every event lives in the queue of its target's shard; the global
-    /// `(at, seq)` order is recovered by merging shard heads. With one
-    /// shard (the default) this is exactly the classic single queue.
-    queues: Vec<BinaryHeap<Reverse<HeapEntry<M>>>>,
-    /// Process→shard assignment and cross-shard lookahead.
-    shards: ShardMap,
-    /// Total queued events across all shards (drained events excluded),
-    /// so peak-depth accounting is identical at every shard count.
-    pending: usize,
+    /// The event queue, payloads inline (see [`HeapEntry`]).
+    queue: BinaryHeap<Reverse<HeapEntry<M>>>,
+    /// Process→shard attribution block (see [`World::set_shards`]).
+    shard_of: Vec<usize>,
     /// Flat per-link state: FIFO clamps, partitions, faults, service.
     links: LinkState,
     down: Vec<bool>,
     rng: StdRng,
     delivered_events: u64,
-    /// Events committed per shard since the last re-shard.
+    /// Events processed per attribution block since the last
+    /// [`World::set_shards`].
     events_by_shard: Vec<u64>,
     sent_messages: u64,
     dropped_messages: u64,
@@ -265,8 +238,6 @@ pub struct World<M, A: Actor<M>> {
     /// Telemetry handle exposed to actors via [`Ctx::telemetry`].
     /// Disabled by default (see [`World::set_telemetry`]).
     telemetry: Telemetry,
-    /// Worker-thread policy for multi-shard runs (default [`ShardExecution::Auto`]).
-    exec: ShardExecution,
 }
 
 impl<M: Clone, A: Actor<M>> World<M, A> {
@@ -287,9 +258,8 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
             link,
             now: SimTime::ZERO,
             seq: 0,
-            queues: vec![BinaryHeap::with_capacity(4 * n)],
-            shards: ShardMap::single(n),
-            pending: 0,
+            queue: BinaryHeap::with_capacity(4 * n),
+            shard_of: vec![0; n],
             links: LinkState::new(n),
             down: vec![false; n],
             rng: StdRng::seed_from_u64(seed),
@@ -304,7 +274,6 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
             observations: Vec::new(),
             probes: false,
             telemetry: Telemetry::disabled(),
-            exec: ShardExecution::default(),
         };
         for pid in 0..n {
             w.push(SimTime::ZERO, Event::Start { pid });
@@ -315,91 +284,35 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
     fn push(&mut self, at: SimTime, ev: Event<M>) {
         let seq = self.seq;
         self.seq += 1;
-        let shard = self.shards.shard_of(ev.target());
-        self.queues[shard].push(Reverse(HeapEntry { at, seq, ev }));
-        self.pending += 1;
-        if self.pending > self.peak_queue_depth {
-            self.peak_queue_depth = self.pending;
+        self.queue.push(Reverse(HeapEntry { at, seq, ev }));
+        if self.queue.len() > self.peak_queue_depth {
+            self.peak_queue_depth = self.queue.len();
         }
     }
 
-    /// The shard whose head event is globally next, by `(at, seq)`.
-    fn min_shard(&self) -> Option<usize> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (s, q) in self.queues.iter().enumerate() {
-            if let Some(Reverse(e)) = q.peek() {
-                if best.is_none_or(|(at, seq, _)| (e.at, e.seq) < (at, seq)) {
-                    best = Some((e.at, e.seq, s));
-                }
-            }
-        }
-        best.map(|(_, _, s)| s)
-    }
-
-    /// Re-partitions the world into `n` shards derived from the link
-    /// model's sites (contiguous site blocks — see
-    /// [`ShardMap::from_link`]). With `n > 1`, [`World::run_until`] and
-    /// [`World::run_to_quiescence`] execute shards on parallel workers
-    /// while committing all effects in global `(at, seq)` order, so the
-    /// observable execution — delivered traces, RNG draws, stats,
-    /// observations, telemetry — is byte-identical at every shard count.
-    /// `set_shards(1)` is exactly the classic sequential loop.
+    /// Splits the processes into `n` contiguous blocks of link-model
+    /// sites (site rank `r` of `n_sites` goes to block `r * n / n_sites`,
+    /// with `n` clamped to `[1, n_sites]`) and restarts the per-block
+    /// event counts of [`SimStats::events_by_shard`].
+    ///
+    /// This is attribution only: execution is always the one sequential
+    /// event queue, so the shard count never changes what runs. It is
+    /// kept for the benchmark crate `perfbench/`, which records the
+    /// count in its host block.
     pub fn set_shards(&mut self, n: usize) {
-        let map = ShardMap::from_link(&self.link, n);
-        self.install_shard_map(map);
-    }
-
-    /// Installs an explicit process→shard assignment (see
-    /// [`ShardMap::from_assignment`]) — the hook for tests and
-    /// experiments cutting along non-geographic lines.
-    pub fn set_shard_assignment(&mut self, shard_of: Vec<usize>) {
-        let map = ShardMap::from_assignment(&self.link, shard_of);
-        self.install_shard_map(map);
-    }
-
-    fn install_shard_map(&mut self, map: ShardMap) {
-        let entries: Vec<Reverse<HeapEntry<M>>> = self
-            .queues
-            .iter_mut()
-            .flat_map(|q| std::mem::take(q).into_vec())
+        let site = |p: ProcessId| self.link.site(p).index();
+        let n_sites = (0..self.link.len()).map(|p| site(p) + 1).max().unwrap_or(1);
+        let k = n.clamp(1, n_sites);
+        self.shard_of = (0..self.link.len())
+            .map(|p| site(p) * k / n_sites)
             .collect();
-        let k = map.count();
-        self.queues = (0..k).map(|_| BinaryHeap::new()).collect();
-        // Re-sharding changes attribution, so per-shard counts restart.
         self.events_by_shard = vec![0; k];
-        self.shards = map;
-        // Redistribute without touching seq/pending/peak: these events
-        // are already accounted for.
-        for Reverse(entry) in entries {
-            let shard = self.shards.shard_of(entry.ev.target());
-            self.queues[shard].push(Reverse(entry));
-        }
     }
 
-    /// Number of shards the event queue is partitioned into.
+    /// Number of attribution blocks set by [`World::set_shards`] (1 by
+    /// default). Kept for `perfbench/`; execution is always sequential.
     pub fn shard_count(&self) -> usize {
-        self.shards.count()
-    }
-
-    /// Sets the worker-thread policy for multi-shard runs. Purely an
-    /// execution-strategy choice: the committed event sequence — traces,
-    /// RNG draws, stats, observations, telemetry — is bit-identical
-    /// under [`ShardExecution::Inline`] and [`ShardExecution::Threads`]
-    /// (that invariant is what the lockstep suite proves), so
-    /// [`ShardExecution::Auto`] is free to pick whichever is faster for
-    /// the host.
-    pub fn set_shard_execution(&mut self, exec: ShardExecution) {
-        self.exec = exec;
-    }
-
-    /// The shard owning process `pid`.
-    pub fn shard_of(&self, pid: ProcessId) -> usize {
-        self.shards.shard_of(pid)
-    }
-
-    /// The installed shard map.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shards
+        self.events_by_shard.len()
     }
 
     /// Current simulated time.
@@ -490,8 +403,7 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
     /// use this to decide whether a pending external action (e.g. a fault)
     /// fires before the simulation's own next step.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.min_shard()
-            .and_then(|s| self.queues[s].peek().map(|Reverse(e)| e.at))
+        self.queue.peek().map(|Reverse(e)| e.at)
     }
 
     /// Snapshot of the run's throughput counters.
@@ -736,22 +648,13 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
     }
 
     /// Processes the next event. Returns `false` when the queue is empty.
-    ///
-    /// Always sequential, whatever the shard count: drivers that
-    /// interleave steps with world mutation (observing adversaries) need
-    /// the one-event-at-a-time contract. Batch runs go through
-    /// [`World::run_until`] / [`World::run_to_quiescence`], which engage
-    /// the parallel executor when `shard_count() > 1`.
     pub fn step(&mut self) -> bool {
-        let Some(shard) = self.min_shard() else {
+        let Some(Reverse(HeapEntry { at, ev, .. })) = self.queue.pop() else {
             return false;
         };
-        let Reverse(HeapEntry { at, ev, .. }) =
-            self.queues[shard].pop().expect("min_shard saw a head");
-        self.pending -= 1;
         self.now = at;
         self.delivered_events += 1;
-        self.events_by_shard[shard] += 1;
+        self.events_by_shard[self.shard_of[ev.target()]] += 1;
 
         match ev {
             Event::Start { pid } => {
@@ -808,11 +711,15 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
         self.scratch_timers = timers;
     }
 
-    /// Sequential [`World::run_until`] loop (also the `shards = 1` path).
-    fn run_until_seq(&mut self, deadline: SimTime) -> u64 {
+    /// Runs until the queue drains or simulated time exceeds `deadline`,
+    /// then advances the clock to `deadline` (so anything scheduled next —
+    /// a fault event, an injected message, a restart — happens at the
+    /// right simulated time even if the world went idle earlier).
+    /// Returns the number of events processed.
+    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut n = 0;
-        while let Some(s) = self.min_shard() {
-            if self.queues[s].peek().expect("min_shard saw a head").0.at > deadline {
+        while let Some(Reverse(entry)) = self.queue.peek() {
+            if entry.at > deadline {
                 break;
             }
             self.step();
@@ -822,8 +729,10 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
         n
     }
 
-    /// Sequential [`World::run_to_quiescence`] loop.
-    fn run_to_quiescence_seq(&mut self, max_events: u64) -> u64 {
+    /// Runs until the event queue is empty (quiescence), up to `max_events`.
+    /// Returns the number of events processed; panics if the limit is hit,
+    /// which in a correct protocol signals a livelock.
+    pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
         let mut n = 0;
         while self.step() {
             n += 1;
@@ -833,384 +742,6 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
             );
         }
         n
-    }
-}
-
-impl<M: Clone + Send, A: Actor<M> + Send> World<M, A> {
-    /// Runs until the queue drains or simulated time exceeds `deadline`,
-    /// then advances the clock to `deadline` (so anything scheduled next —
-    /// a fault event, an injected message, a restart — happens at the
-    /// right simulated time even if the world went idle earlier).
-    /// Returns the number of events processed.
-    ///
-    /// With more than one shard this executes on the parallel sharded
-    /// core; the observable execution is identical either way.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        if !self.use_workers() {
-            return self.run_until_seq(deadline);
-        }
-        // Pure clock advances (no event due) skip the worker spin-up —
-        // drivers call `run_until` for exactly that between fault events.
-        let n = if self.next_event_time().is_some_and(|t| t <= deadline) {
-            self.run_parallel(Some(deadline), u64::MAX)
-        } else {
-            0
-        };
-        self.now = self.now.max(deadline);
-        n
-    }
-
-    /// Whether batch runs should spawn shard workers. With one shard
-    /// there is nothing to overlap; with several, [`ShardExecution`]
-    /// decides. The inline fallback runs the same per-shard queues
-    /// through the sequential merge loop (`min_shard` + `step`), which
-    /// commits the identical event sequence — per-shard attribution
-    /// included — without the per-event channel round-trips that worker
-    /// threads cost on a single-core host.
-    fn use_workers(&self) -> bool {
-        self.shards.count() > 1
-            && match self.exec {
-                ShardExecution::Threads => true,
-                ShardExecution::Inline => false,
-                ShardExecution::Auto => {
-                    std::thread::available_parallelism().is_ok_and(|p| p.get() > 1)
-                }
-            }
-    }
-
-    /// Runs until the event queue is empty (quiescence), up to `max_events`.
-    /// Returns the number of events processed; panics if the limit is hit,
-    /// which in a correct protocol signals a livelock.
-    ///
-    /// With more than one shard this executes on the parallel sharded
-    /// core; the observable execution is identical either way.
-    pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
-        if self.use_workers() {
-            self.run_parallel(None, max_events)
-        } else {
-            self.run_to_quiescence_seq(max_events)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel sharded executor
-// ---------------------------------------------------------------------------
-//
-// The executor splits one event's lifecycle in two:
-//
-// * **execute** — the actor callback runs on the worker thread owning the
-//   event's shard, against a `Ctx` that only *buffers* side effects
-//   (sends, timers, observations, telemetry ops);
-// * **commit** — the committer (the calling thread) applies those buffers
-//   in strict global `(at, seq)` order: RNG draws for jitter and faults,
-//   seq assignment, FIFO clamps, service backlogs, queue pushes,
-//   observation appends, telemetry replay, and every counter.
-//
-// Because *all* state that events interact through is mutated at commit
-// time in the same total order the sequential loop uses, the execution is
-// bit-identical to `shards = 1` — thread scheduling can only change *when*
-// a callback runs on the wall clock, never what it observes.
-//
-// What makes early execution sound is the conservative lookahead: shard
-// `s`'s head event `E = (t, q)` may start before older events elsewhere
-// have committed iff `t ≤ m + lookahead(s)`, where `m` is the earliest
-// uncommitted event time in any other shard. Every path by which another
-// shard could still place an event into `s` goes through committing some
-// uncommitted event `X` (at `≥ m`) whose sends arrive after at least the
-// minimum entering link delay (`lookahead(s)`, a static lower bound:
-// jitter, fault delay, FIFO clamps, and service only push arrivals later)
-// — so any such event lands at `≥ m + lookahead(s) ≥ t`, and with a
-// freshly assigned (larger) seq, i.e. strictly after `E` in the total
-// order. Within a shard, at most one event is ever uncommitted (depth-1),
-// so per-actor state always advances in order. The globally minimal event
-// is always safe by this rule, which guarantees progress.
-
-/// One event handed to a shard worker for speculative execution.
-struct Job<M> {
-    at: SimTime,
-    shard: usize,
-    pid: ProcessId,
-    kind: JobKind<M>,
-}
-
-enum JobKind<M> {
-    Start,
-    Timer(u64),
-    Deliver { from: ProcessId, msg: M },
-}
-
-/// A finished callback: every side effect buffered, none applied.
-struct Done<M> {
-    at: SimTime,
-    shard: usize,
-    pid: ProcessId,
-    /// The event was a `Deliver` to a crashed process; the committer
-    /// counts the drop at the event's commit position.
-    down_drop: bool,
-    sends: Vec<SendOp<M>>,
-    timers: Vec<(SimTime, u64)>,
-    observations: Vec<Observation>,
-    tel_ops: Vec<TelemetryOp>,
-}
-
-impl<M> Done<M> {
-    /// A no-op result for events targeting crashed processes, which never
-    /// reach a worker.
-    fn skipped(at: SimTime, shard: usize, pid: ProcessId, down_drop: bool) -> Self {
-        Done {
-            at,
-            shard,
-            pid,
-            down_drop,
-            sends: Vec::new(),
-            timers: Vec::new(),
-            observations: Vec::new(),
-            tel_ops: Vec::new(),
-        }
-    }
-}
-
-/// Runs one shard's actor callbacks until the job channel closes, then
-/// returns the actors (sorted by pid) to be folded back into the world.
-fn worker_loop<M: Clone, A: Actor<M>>(
-    mut actors: Vec<(ProcessId, A)>,
-    jobs: mpsc::Receiver<Job<M>>,
-    results: mpsc::Sender<Done<M>>,
-    telemetry_enabled: bool,
-    probes: bool,
-) -> Vec<(ProcessId, A)> {
-    // Worker-local recording sink: ops are drained per event and replayed
-    // by the committer in commit order, so the real registry and tracer
-    // see exactly the sequential mutation sequence.
-    let tel = if telemetry_enabled {
-        Telemetry::buffered()
-    } else {
-        Telemetry::disabled()
-    };
-    while let Ok(job) = jobs.recv() {
-        let mut sends = Vec::new();
-        let mut timers = Vec::new();
-        let mut observations = Vec::new();
-        let idx = actors
-            .binary_search_by_key(&job.pid, |e| e.0)
-            .expect("job routed to the owning worker");
-        {
-            let mut ctx = Ctx {
-                now: job.at,
-                me: job.pid,
-                sends: &mut sends,
-                timers: &mut timers,
-                observations: &mut observations,
-                probes,
-                telemetry: &tel,
-            };
-            let actor = &mut actors[idx].1;
-            match job.kind {
-                JobKind::Start => actor.on_start(&mut ctx),
-                JobKind::Timer(token) => actor.on_timer(token, &mut ctx),
-                JobKind::Deliver { from, msg } => actor.on_message(from, msg, &mut ctx),
-            }
-        }
-        let done = Done {
-            at: job.at,
-            shard: job.shard,
-            pid: job.pid,
-            down_drop: false,
-            sends,
-            timers,
-            observations,
-            tel_ops: tel.take_ops(),
-        };
-        if results.send(done).is_err() {
-            break; // committer gone (unwinding) — stop quietly
-        }
-    }
-    actors
-}
-
-impl<M: Clone + Send, A: Actor<M> + Send> World<M, A> {
-    /// The committer loop of the sharded executor (see the module-section
-    /// comment above for the determinism and safety argument). Processes
-    /// events up to `deadline` (if given) or to quiescence, committing at
-    /// most `max_events` before panicking on a suspected livelock.
-    /// Returns the number of events committed.
-    fn run_parallel(&mut self, deadline: Option<SimTime>, max_events: u64) -> u64 {
-        let k = self.shards.count();
-        debug_assert!(k > 1, "the sequential loop owns the 1-shard path");
-        let n = self.actors.len();
-        // Hand each worker its shard's actors (pid-sorted for lookup).
-        let mut owned: Vec<Vec<(ProcessId, A)>> = (0..k).map(|_| Vec::new()).collect();
-        for (pid, a) in std::mem::take(&mut self.actors).into_iter().enumerate() {
-            owned[self.shards.shard_of(pid)].push((pid, a));
-        }
-        let telemetry_enabled = self.telemetry.is_enabled();
-        let probes = self.probes;
-        let mut committed = 0u64;
-        std::thread::scope(|scope| {
-            let (res_tx, res_rx) = mpsc::channel::<Done<M>>();
-            let mut job_txs: Vec<mpsc::Sender<Job<M>>> = Vec::with_capacity(k);
-            let mut handles = Vec::with_capacity(k);
-            for actors_w in owned {
-                let (tx, rx) = mpsc::channel::<Job<M>>();
-                job_txs.push(tx);
-                let res_tx = res_tx.clone();
-                handles.push(
-                    scope.spawn(move || {
-                        worker_loop(actors_w, rx, res_tx, telemetry_enabled, probes)
-                    }),
-                );
-            }
-            drop(res_tx);
-
-            // Per shard: the key of the single dispatched-but-uncommitted
-            // event (depth-1), and its result once the worker is done.
-            let mut outstanding: Vec<Option<(SimTime, u64)>> = vec![None; k];
-            let mut ready: Vec<Option<Done<M>>> = (0..k).map(|_| None).collect();
-
-            loop {
-                // Dispatch every idle shard whose head is safe. Popping a
-                // head moves its key into `outstanding`, so one pass sees
-                // a stable picture.
-                for s in 0..k {
-                    if outstanding[s].is_some() {
-                        continue;
-                    }
-                    let Some(Reverse(head)) = self.queues[s].peek() else {
-                        continue;
-                    };
-                    let head_at = head.at;
-                    if deadline.is_some_and(|d| head_at > d) {
-                        continue;
-                    }
-                    // Earliest uncommitted event in any *other* shard.
-                    let mut m: Option<SimTime> = None;
-                    for (r, out) in outstanding.iter().enumerate() {
-                        if r == s {
-                            continue;
-                        }
-                        let key_r = out
-                            .map(|(at, _)| at)
-                            .or_else(|| self.queues[r].peek().map(|Reverse(e)| e.at));
-                        if let Some(at) = key_r {
-                            if m.is_none_or(|cur| at < cur) {
-                                m = Some(at);
-                            }
-                        }
-                    }
-                    let safe = match m {
-                        None => true,
-                        Some(at) => head_at <= at.saturating_add(self.shards.lookahead(s)),
-                    };
-                    if !safe {
-                        continue;
-                    }
-                    let Reverse(HeapEntry { at, seq, ev }) =
-                        self.queues[s].pop().expect("peeked above");
-                    outstanding[s] = Some((at, seq));
-                    let pid = ev.target();
-                    if self.down[pid] {
-                        let drop = matches!(ev, Event::Deliver { .. });
-                        ready[s] = Some(Done::skipped(at, s, pid, drop));
-                    } else {
-                        let kind = match ev {
-                            Event::Start { .. } => JobKind::Start,
-                            Event::Timer { token, .. } => JobKind::Timer(token),
-                            Event::Deliver { from, msg, .. } => JobKind::Deliver { from, msg },
-                        };
-                        let job = Job {
-                            at,
-                            shard: s,
-                            pid,
-                            kind,
-                        };
-                        job_txs[s].send(job).expect("worker alive");
-                    }
-                }
-
-                // The earliest uncommitted event decides what happens next.
-                let mut min_key: Option<(SimTime, u64, usize)> = None;
-                for (s, out) in outstanding.iter().enumerate() {
-                    let key_s =
-                        out.or_else(|| self.queues[s].peek().map(|Reverse(e)| (e.at, e.seq)));
-                    if let Some((at, seq)) = key_s {
-                        if min_key.is_none_or(|(a, q, _)| (at, seq) < (a, q)) {
-                            min_key = Some((at, seq, s));
-                        }
-                    }
-                }
-                let Some((at, seq, s)) = min_key else {
-                    break; // quiescent
-                };
-                if deadline.is_some_and(|d| at > d) {
-                    break; // everything ≤ deadline committed
-                }
-                debug_assert_eq!(
-                    outstanding[s],
-                    Some((at, seq)),
-                    "the globally minimal event is always dispatchable"
-                );
-                if let Some(done) = ready[s].take() {
-                    outstanding[s] = None;
-                    self.commit(done);
-                    committed += 1;
-                    assert!(
-                        committed < max_events,
-                        "simulation did not quiesce after {max_events} events"
-                    );
-                } else {
-                    // The next committable event is still running: wait,
-                    // then soak up anything else that finished meanwhile.
-                    let done = res_rx.recv().expect("a worker owes a result");
-                    let sh = done.shard;
-                    ready[sh] = Some(done);
-                    while let Ok(d) = res_rx.try_recv() {
-                        let sh = d.shard;
-                        ready[sh] = Some(d);
-                    }
-                }
-            }
-
-            // Close the job channels and fold the actors back in.
-            drop(job_txs);
-            let mut slots: Vec<Option<A>> = (0..n).map(|_| None).collect();
-            for h in handles {
-                for (pid, a) in h.join().expect("worker thread panicked") {
-                    slots[pid] = Some(a);
-                }
-            }
-            self.actors = slots
-                .into_iter()
-                .map(|o| o.expect("every actor comes home"))
-                .collect();
-        });
-        committed
-    }
-
-    /// Applies one finished event's effects at its global commit position
-    /// — the exact mutation sequence of the sequential `step` + `invoke`.
-    fn commit(&mut self, d: Done<M>) {
-        self.now = d.at;
-        self.pending -= 1;
-        self.delivered_events += 1;
-        self.events_by_shard[d.shard] += 1;
-        if d.down_drop {
-            self.dropped_messages += 1;
-        }
-        for op in d.sends {
-            match op {
-                SendOp::One(to, msg) => self.route_send(d.pid, to, msg),
-                SendOp::Many(targets, msg) => self.route_fanout(d.pid, &targets, msg),
-                SendOp::Control(to, msg) => self.route_send_inner(d.pid, to, msg, true),
-            }
-        }
-        for (t, token) in d.timers {
-            self.push(t, Event::Timer { pid: d.pid, token });
-        }
-        self.observations.extend(d.observations);
-        if !d.tel_ops.is_empty() {
-            self.telemetry.apply_ops(d.tel_ops);
-        }
     }
 }
 
@@ -1475,42 +1006,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, clean, "no loss, only reordering");
         assert_eq!(mk(true), shuffled, "same seed, same shuffle");
-    }
-
-    /// The execution-policy knob is unobservable: a two-shard world run
-    /// inline, on worker threads, or however `Auto` decides produces the
-    /// exact pong trace (values and nanosecond timestamps) of the
-    /// one-shard sequential loop, under jitter that makes the RNG-draw
-    /// order load-bearing.
-    #[test]
-    fn inline_and_threaded_shard_execution_match_sequential() {
-        let run = |shards: usize, exec: ShardExecution| {
-            let a = Echo {
-                initial: (0..40).map(|k| (1usize, k)).collect(),
-                ..Default::default()
-            };
-            let mut w = two_site_world(vec![a, Echo::default()], 20.0);
-            if shards > 1 {
-                w.set_shards(shards);
-            }
-            w.set_shard_execution(exec);
-            w.run_to_quiescence(100_000);
-            let trace: Vec<(i32, u64)> = w
-                .actor(0)
-                .got
-                .iter()
-                .map(|&(_, k, t)| (k, t.as_nanos()))
-                .collect();
-            (trace, w.stats().events)
-        };
-        let seq = run(1, ShardExecution::Auto);
-        for exec in [
-            ShardExecution::Inline,
-            ShardExecution::Threads,
-            ShardExecution::Auto,
-        ] {
-            assert_eq!(run(2, exec), seq, "{exec:?} diverged from sequential");
-        }
     }
 
     #[test]
@@ -1807,5 +1302,187 @@ mod tests {
         assert!(w.actor(0).got.is_empty());
         w.run_until(SimTime::from_ms(200.0));
         assert_eq!(w.actor(0).got.len(), 1);
+    }
+
+    /// A world of `procs_per_site` echo actors on each of `n_sites` sites.
+    fn site_world(n_sites: usize, procs_per_site: usize) -> World<Msg, Echo> {
+        let mut m = LatencyMatrix::zero(n_sites);
+        for a in 0..n_sites {
+            for b in (a + 1)..n_sites {
+                m.set_rtt(a, b, 20.0);
+            }
+        }
+        let sites: Vec<GroupId> = (0..n_sites)
+            .flat_map(|s| std::iter::repeat_n(GroupId(s as u16), procs_per_site))
+            .collect();
+        let actors = (0..sites.len()).map(|_| Echo::default()).collect();
+        World::new(actors, LinkModel::new(m, sites, 0.0), 1)
+    }
+
+    #[test]
+    fn default_world_is_one_shard() {
+        let w = site_world(3, 2);
+        assert_eq!(w.shard_count(), 1);
+        assert_eq!(w.shard_of, vec![0; 6]);
+    }
+
+    #[test]
+    fn set_shards_splits_sites_into_contiguous_blocks() {
+        let mut w = site_world(4, 2);
+        w.set_shards(2);
+        assert_eq!(w.shard_count(), 2);
+        assert_eq!(w.shard_of, vec![0, 0, 0, 0, 1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn set_shards_clamps_to_sites() {
+        let mut w = site_world(2, 1);
+        w.set_shards(8);
+        assert_eq!(w.shard_count(), 2, "no empty blocks");
+        let mut w = site_world(3, 1);
+        w.set_shards(0);
+        assert_eq!(w.shard_count(), 1, "zero means one block");
+    }
+
+    #[test]
+    fn events_by_shard_attributes_without_changing_the_run() {
+        let run = |shards: usize| {
+            let a = Echo {
+                initial: (0..20).map(|k| (1usize, k)).collect(),
+                ..Default::default()
+            };
+            let mut w = two_site_world(vec![a, Echo::default()], 20.0);
+            w.set_shards(shards);
+            w.run_to_quiescence(10_000);
+            let trace: Vec<(i32, u64)> = w
+                .actor(0)
+                .got
+                .iter()
+                .map(|&(_, k, t)| (k, t.as_nanos()))
+                .collect();
+            (trace, w.stats())
+        };
+        let (seq_trace, seq_stats) = run(1);
+        let (trace, stats) = run(2);
+        assert_eq!(trace, seq_trace, "attribution never changes the run");
+        assert_eq!(stats.events, seq_stats.events);
+        assert_eq!(seq_stats.events_by_shard, vec![seq_stats.events]);
+        // 20 pongs and pid 0's start land on site 0; 20 pings and pid 1's
+        // start on site 1.
+        assert_eq!(stats.events_by_shard, vec![21, 21]);
+    }
+
+    /// A probe actor that publishes `Observation::Custom` markers with a
+    /// caller-chosen timestamp when its timer fires — the mechanism real
+    /// engines use to publish batched events whose logical time predates the
+    /// callback that flushes them.
+    struct Backdater {
+        /// `(timer token, observation timestamp, value)` — the observation is
+        /// published when the matching timer fires, stamped `at`. The token
+        /// doubles as the fire time in milliseconds.
+        emits: Vec<(u64, SimTime, u64)>,
+    }
+
+    impl Actor<()> for Backdater {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+            for &(token, _, _) in &self.emits {
+                ctx.set_timer(SimTime::from_ms(token as f64), token);
+            }
+        }
+
+        fn on_message(&mut self, _from: ProcessId, _msg: (), _ctx: &mut Ctx<'_, ()>) {}
+
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, ()>) {
+            let me = ctx.me();
+            for &(t, at, value) in &self.emits {
+                if t == token {
+                    ctx.observe(crate::Observation::Custom {
+                        pid: me,
+                        tag: 7,
+                        value,
+                        at,
+                    });
+                }
+            }
+        }
+    }
+
+    fn two_backdaters(a: Backdater, b: Backdater) -> World<(), Backdater> {
+        let m = LatencyMatrix::zero(2);
+        let sites = vec![GroupId(0), GroupId(1)];
+        let mut w = World::new(vec![a, b], LinkModel::new(m, sites, 0.0), 1);
+        w.enable_probes();
+        w
+    }
+
+    /// Regression: a later-processed actor publishing an observation with an
+    /// *earlier* logical timestamp must not reach the adversary after
+    /// observations stamped later. `drain_observations` sorts by timestamp
+    /// (stably, so equal-time observations keep deterministic event order) —
+    /// without the sort, the drain below yields `[20 ms, 10 ms]` and every
+    /// threshold adversary sees time run backwards.
+    #[test]
+    fn drain_observations_orders_backdated_publications() {
+        let mut w = two_backdaters(
+            // Fires at 20 ms, stamps its observation 20 ms (honest).
+            Backdater {
+                emits: vec![(20, SimTime::from_ms(20.0), 1)],
+            },
+            // Fires at 25 ms, stamps its observation 10 ms (backdated flush).
+            Backdater {
+                emits: vec![(25, SimTime::from_ms(10.0), 2)],
+            },
+        );
+        w.run_to_quiescence(1_000);
+
+        let mut obs = Vec::new();
+        w.drain_observations(&mut obs);
+        let seen: Vec<(u64, u64)> = obs
+            .iter()
+            .map(|o| match *o {
+                crate::Observation::Custom { value, at, .. } => (at.as_nanos(), value),
+                ref other => panic!("unexpected observation {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            seen,
+            vec![
+                (SimTime::from_ms(10.0).as_nanos(), 2),
+                (SimTime::from_ms(20.0).as_nanos(), 1),
+            ],
+            "observations must drain in timestamp order, not publish order"
+        );
+    }
+
+    /// Stability half of the contract: equal-timestamp observations from
+    /// different actors keep the deterministic event (publish) order, so the
+    /// sort cannot itself become a nondeterminism source.
+    #[test]
+    fn drain_observations_is_stable_for_equal_timestamps() {
+        let at = SimTime::from_ms(15.0);
+        let mut w = two_backdaters(
+            Backdater {
+                emits: vec![(10, at, 1), (30, at, 3)],
+            },
+            Backdater {
+                emits: vec![(20, at, 2)],
+            },
+        );
+        w.run_to_quiescence(1_000);
+
+        let mut obs = Vec::new();
+        w.drain_observations(&mut obs);
+        let values: Vec<u64> = obs
+            .iter()
+            .map(|o| match *o {
+                crate::Observation::Custom { value, .. } => value,
+                ref other => panic!("unexpected observation {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            values,
+            vec![1, 2, 3],
+            "equal-time observations must keep publish order"
+        );
     }
 }

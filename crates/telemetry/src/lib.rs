@@ -35,57 +35,11 @@ pub use trace::{SpanId, TraceEvent, TracePh, Tracer};
 
 use std::sync::{Arc, Mutex};
 
-/// One recorded telemetry mutation, in record order.
-///
-/// A *buffered* handle ([`Telemetry::buffered`]) captures its recording
-/// calls as an op log instead of mutating a registry/tracer directly.
-/// Replaying the log with [`Telemetry::apply_ops`] performs exactly the
-/// same mutations in exactly the same order, so a driver that executes
-/// actor callbacks out of order (the sharded simulator) can still build
-/// a byte-identical registry and trace by replaying each callback's ops
-/// at its deterministic commit position.
-#[derive(Clone, Debug)]
-pub enum TelemetryOp {
-    /// A [`Telemetry::counter_add`] call.
-    CounterAdd {
-        /// Counter name.
-        name: String,
-        /// Amount added.
-        delta: u64,
-    },
-    /// A [`Telemetry::counter_set`] call.
-    CounterSet {
-        /// Counter name.
-        name: String,
-        /// Absolute value written.
-        value: u64,
-    },
-    /// A [`Telemetry::gauge_set`] call.
-    GaugeSet {
-        /// Gauge name.
-        name: String,
-        /// Value written.
-        value: f64,
-    },
-    /// A [`Telemetry::record`] call.
-    Record {
-        /// Histogram name.
-        hist: String,
-        /// Observation.
-        value: u64,
-    },
-    /// Any trace event (span, instant, async begin/end).
-    Trace(TraceEvent),
-}
-
 /// Shared state behind an enabled handle.
 #[derive(Debug)]
 struct Inner {
     registry: Mutex<Registry>,
     tracer: Mutex<Tracer>,
-    /// `Some` turns the handle into an op-log recorder (see
-    /// [`TelemetryOp`]); the registry and tracer then stay empty.
-    buffer: Option<Mutex<Vec<TelemetryOp>>>,
 }
 
 /// Cloneable handle to a metrics registry and tracer.
@@ -116,69 +70,8 @@ impl Telemetry {
             inner: Some(Arc::new(Inner {
                 registry: Mutex::new(Registry::default()),
                 tracer: Mutex::new(Tracer::with_capacity(cap)),
-                buffer: None,
             })),
         }
-    }
-
-    /// An enabled handle that records an op log instead of mutating state.
-    ///
-    /// Recording calls are captured verbatim (see [`TelemetryOp`]) and
-    /// drained with [`Telemetry::take_ops`]; the registry and tracer of a
-    /// buffered handle stay empty. Shard workers in the parallel simulator
-    /// use one buffered handle each: the committer replays every
-    /// callback's ops onto the real handle in deterministic event order.
-    pub fn buffered() -> Self {
-        Telemetry {
-            inner: Some(Arc::new(Inner {
-                registry: Mutex::new(Registry::default()),
-                tracer: Mutex::new(Tracer::with_capacity(usize::MAX)),
-                buffer: Some(Mutex::new(Vec::new())),
-            })),
-        }
-    }
-
-    /// Drains the op log of a buffered handle (empty for direct handles).
-    pub fn take_ops(&self) -> Vec<TelemetryOp> {
-        match &self.inner {
-            Some(inner) => match &inner.buffer {
-                Some(buf) => std::mem::take(&mut *buf.lock().unwrap()),
-                None => Vec::new(),
-            },
-            None => Vec::new(),
-        }
-    }
-
-    /// Replays an op log onto this handle, applying each mutation
-    /// directly (even if this handle is itself buffered) in log order.
-    pub fn apply_ops(&self, ops: Vec<TelemetryOp>) {
-        let Some(inner) = &self.inner else { return };
-        for op in ops {
-            match op {
-                TelemetryOp::CounterAdd { name, delta } => {
-                    inner.registry.lock().unwrap().counter_add(&name, delta);
-                }
-                TelemetryOp::CounterSet { name, value } => {
-                    inner.registry.lock().unwrap().counter_set(&name, value);
-                }
-                TelemetryOp::GaugeSet { name, value } => {
-                    inner.registry.lock().unwrap().gauge_set(&name, value);
-                }
-                TelemetryOp::Record { hist, value } => {
-                    inner.registry.lock().unwrap().record(&hist, value);
-                }
-                TelemetryOp::Trace(ev) => {
-                    inner.tracer.lock().unwrap().push(ev);
-                }
-            }
-        }
-    }
-
-    /// Pushes one op into a buffered handle's log. Callers ensure the
-    /// buffer exists.
-    #[inline]
-    fn buffer_op(buf: &Mutex<Vec<TelemetryOp>>, op: TelemetryOp) {
-        buf.lock().unwrap().push(op);
     }
 
     /// True when recording calls actually record.
@@ -191,16 +84,7 @@ impl Telemetry {
     #[inline]
     pub fn counter_add(&self, name: &str, delta: u64) {
         if let Some(inner) = &self.inner {
-            match &inner.buffer {
-                Some(buf) => Self::buffer_op(
-                    buf,
-                    TelemetryOp::CounterAdd {
-                        name: name.to_string(),
-                        delta,
-                    },
-                ),
-                None => inner.registry.lock().unwrap().counter_add(name, delta),
-            }
+            inner.registry.lock().unwrap().counter_add(name, delta);
         }
     }
 
@@ -209,16 +93,7 @@ impl Telemetry {
     #[inline]
     pub fn counter_set(&self, name: &str, value: u64) {
         if let Some(inner) = &self.inner {
-            match &inner.buffer {
-                Some(buf) => Self::buffer_op(
-                    buf,
-                    TelemetryOp::CounterSet {
-                        name: name.to_string(),
-                        value,
-                    },
-                ),
-                None => inner.registry.lock().unwrap().counter_set(name, value),
-            }
+            inner.registry.lock().unwrap().counter_set(name, value);
         }
     }
 
@@ -226,16 +101,7 @@ impl Telemetry {
     #[inline]
     pub fn gauge_set(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            match &inner.buffer {
-                Some(buf) => Self::buffer_op(
-                    buf,
-                    TelemetryOp::GaugeSet {
-                        name: name.to_string(),
-                        value,
-                    },
-                ),
-                None => inner.registry.lock().unwrap().gauge_set(name, value),
-            }
+            inner.registry.lock().unwrap().gauge_set(name, value);
         }
     }
 
@@ -244,16 +110,7 @@ impl Telemetry {
     #[inline]
     pub fn record(&self, hist: &str, value: u64) {
         if let Some(inner) = &self.inner {
-            match &inner.buffer {
-                Some(buf) => Self::buffer_op(
-                    buf,
-                    TelemetryOp::Record {
-                        hist: hist.to_string(),
-                        value,
-                    },
-                ),
-                None => inner.registry.lock().unwrap().record(hist, value),
-            }
+            inner.registry.lock().unwrap().record(hist, value);
         }
     }
 
@@ -274,8 +131,8 @@ impl Telemetry {
         dur_ns: u64,
         args: &[(&str, f64)],
     ) {
-        if self.inner.is_some() {
-            self.push_trace(TraceEvent {
+        if let Some(inner) = &self.inner {
+            inner.tracer.lock().unwrap().push(TraceEvent {
                 name: name.to_string(),
                 cat,
                 ph: TracePh::Complete { dur_ns },
@@ -289,8 +146,8 @@ impl Telemetry {
     /// Records an instant event (`ph: "i"`).
     #[inline]
     pub fn instant(&self, cat: &'static str, name: &str, node: u32, ts_ns: u64) {
-        if self.inner.is_some() {
-            self.push_trace(TraceEvent {
+        if let Some(inner) = &self.inner {
+            inner.tracer.lock().unwrap().push(TraceEvent {
                 name: name.to_string(),
                 cat,
                 ph: TracePh::Instant,
@@ -298,16 +155,6 @@ impl Telemetry {
                 tid: node,
                 args: Vec::new(),
             });
-        }
-    }
-
-    /// Routes one trace event to the op buffer or the tracer.
-    fn push_trace(&self, ev: TraceEvent) {
-        if let Some(inner) = &self.inner {
-            match &inner.buffer {
-                Some(buf) => Self::buffer_op(buf, TelemetryOp::Trace(ev)),
-                None => inner.tracer.lock().unwrap().push(ev),
-            }
         }
     }
 
@@ -333,8 +180,8 @@ impl Telemetry {
         ts_ns: u64,
         begin: bool,
     ) {
-        if self.inner.is_some() {
-            self.push_trace(TraceEvent {
+        if let Some(inner) = &self.inner {
+            inner.tracer.lock().unwrap().push(TraceEvent {
                 name: name.to_string(),
                 cat,
                 ph: if begin {
@@ -415,60 +262,6 @@ mod tests {
         tel.counter_set("total", 10);
         tel.counter_set("total", 10);
         assert_eq!(tel.snapshot().counters.get("total"), Some(&10));
-    }
-
-    #[test]
-    fn buffered_handle_captures_ops_without_mutating_state() {
-        let buf = Telemetry::buffered();
-        assert!(buf.is_enabled(), "actors must see a live handle");
-        buf.counter_add("c", 2);
-        buf.counter_set("abs", 9);
-        buf.gauge_set("g", 1.5);
-        buf.record("h", 7);
-        buf.span("cat", "s", 3, 100, 50);
-        assert_eq!(buf.trace_len(), 0, "trace events go to the log");
-        assert!(buf.snapshot().is_empty(), "registry untouched");
-        let ops = buf.take_ops();
-        assert_eq!(ops.len(), 5);
-        assert!(buf.take_ops().is_empty(), "take drains the log");
-    }
-
-    #[test]
-    fn replaying_ops_matches_direct_recording() {
-        let direct = Telemetry::enabled();
-        direct.counter_add("c", 2);
-        direct.gauge_set("g", 1.5);
-        direct.record("h", 7);
-        direct.span("cat", "s", 3, 100, 50);
-        direct.instant("cat", "i", 4, 200);
-
-        let buf = Telemetry::buffered();
-        buf.counter_add("c", 2);
-        buf.gauge_set("g", 1.5);
-        buf.record("h", 7);
-        buf.span("cat", "s", 3, 100, 50);
-        buf.instant("cat", "i", 4, 200);
-        let replayed = Telemetry::enabled();
-        replayed.apply_ops(buf.take_ops());
-
-        assert_eq!(direct.snapshot(), replayed.snapshot());
-        assert_eq!(direct.trace_json(), replayed.trace_json());
-    }
-
-    #[test]
-    fn replay_respects_trace_capacity() {
-        let buf = Telemetry::buffered();
-        for i in 0..5 {
-            buf.instant("cat", "e", 0, i);
-        }
-        let capped = Telemetry::with_trace_capacity(2);
-        capped.apply_ops(buf.take_ops());
-        assert_eq!(capped.trace_len(), 2);
-        assert_eq!(
-            capped.snapshot().counters.get("trace.dropped_events"),
-            Some(&3),
-            "drop decision happens at replay, like a direct capped handle"
-        );
     }
 
     #[test]
