@@ -554,25 +554,24 @@ impl FlexCastGroup {
         }
         // Clean-set invalidation: a new edge whose source is neither clean
         // nor delivered may put an open dependency above its target.
-        let mut purge: Vec<MsgId> = Vec::new();
-        for e in self.hst.edges_since(pre_edges) {
-            if !self.clean.contains(&e.before) && !self.delivered.contains(&e.before) {
-                purge.push(e.after);
-            }
-        }
-        for b in purge {
-            self.purge_clean(b);
-        }
+        let purge: Vec<MsgId> = self
+            .hst
+            .edges_since(pre_edges)
+            .iter()
+            .filter(|e| !self.clean.contains(&e.before) && !self.delivered.contains(&e.before))
+            .map(|e| e.after)
+            .collect();
+        self.purge_clean(purge);
     }
 
-    /// Removes `v` and its clean descendants from the clean set.
-    fn purge_clean(&mut self, v: MsgId) {
-        if !self.clean.remove(&v) {
-            return;
-        }
-        let succs: Vec<MsgId> = self.hst.succs_of(v).collect();
-        for s in succs {
-            self.purge_clean(s);
+    /// Removes the vertices in `stack` and their clean descendants from
+    /// the clean set. A loop over an explicit stack, not recursion: a
+    /// late edge into a long clean chain walks the whole chain.
+    fn purge_clean(&mut self, mut stack: Vec<MsgId>) {
+        while let Some(v) = stack.pop() {
+            if self.clean.remove(&v) {
+                stack.extend(self.hst.succs_of(v));
+            }
         }
     }
 
@@ -580,27 +579,6 @@ impl FlexCastGroup {
     /// dependency (undelivered message addressed to this group) precedes
     /// `m` transitively.
     fn cond2_blocked(&mut self, m: MsgId) -> bool {
-        // The diagnostic escape hatch is an env lookup; resolve it once —
-        // the per-call `env::var` took a global lock on the deliver path.
-        // Read-once semantics: set FLEX_NO_MEMO before the process starts
-        // (it is a launch-time diagnostic, nothing toggles it in-process).
-        static NO_MEMO: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        if *NO_MEMO.get_or_init(|| std::env::var("FLEX_NO_MEMO").is_ok()) {
-            // Diagnostic mode: exact walk, no delivered-cut, no memos.
-            let mut stack: Vec<MsgId> = self.hst.preds_of(m).collect();
-            let mut seen: BTreeSet<MsgId> = stack.iter().copied().collect();
-            while let Some(v) = stack.pop() {
-                if self.open_deps.contains(&v) {
-                    return true;
-                }
-                for p in self.hst.preds_of(v) {
-                    if seen.insert(p) {
-                        stack.push(p);
-                    }
-                }
-            }
-            return false;
-        }
         if self.open_deps.is_empty() {
             self.blocked_by.remove(&m);
             return false;
@@ -900,9 +878,12 @@ impl FlexCastGroup {
     /// transfer): a replica joining a replicated group — or recovering
     /// after losing its local state — restores from a peer's snapshot and
     /// continues from there instead of replaying the input log from the
-    /// beginning. The snapshot covers everything: history, queues, pending
-    /// acks, GC tombstones, and diff cursors, so a restored engine is
-    /// bit-for-bit interchangeable with the original.
+    /// beginning. The snapshot holds the engine's state — the history's
+    /// insertion logs and watermarks (GC tombstones included), queues,
+    /// pending acks, memos and diff cursors — but not the history's
+    /// index, which [`FlexCastGroup::restore`] rebuilds from the logs. A
+    /// restored engine behaves exactly like the original, and its own
+    /// snapshot is byte-identical to the one it was restored from.
     pub fn snapshot(&self) -> flexcast_types::Result<Vec<u8>> {
         flexcast_wire::to_bytes(self)
     }

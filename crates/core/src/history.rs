@@ -10,8 +10,10 @@
 //! encode (transitive) delivery dependencies.
 
 use flexcast_types::{DestSet, GroupId, Message, MsgId};
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A history vertex: a message's identity and destinations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -132,44 +134,67 @@ impl MergeStats {
 /// the first sequence a client issues.
 pub(crate) const NO_WATERMARK: u32 = u32::MAX;
 
-/// A group's history DAG (`hst` in Algorithm 1).
-///
-/// Deterministic by construction: all internal collections are ordered
-/// (`BTreeMap`/`BTreeSet`), so iteration order — and therefore the bytes of
-/// every [`HistoryDelta`] — is identical across runs and replicas. That
-/// determinism is what lets the engine run unchanged under state machine
-/// replication.
+/// End of an adjacency list in the [`Index`].
+const NIL: u32 = u32::MAX;
+
+/// The Fx hash (rustc's): one rotate, xor and multiply per word. The id
+/// map is probed several times per merged edge, and std's default
+/// SipHash costs more than the rest of the probe; Fx is weak against
+/// adversarial keys, which message ids are not.
+#[derive(Clone, Copy, Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The stored half of a [`History`]: the insertion logs and the
+/// watermarks. This is everything a snapshot carries.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct History {
-    verts: BTreeMap<MsgId, DestSet>,
-    preds: BTreeMap<MsgId, BTreeSet<MsgId>>,
-    succs: BTreeMap<MsgId, BTreeSet<MsgId>>,
+struct Logs {
     last_delivered: Option<MsgId>,
-    /// Append-only insertion logs backing `diff-hst`: a descendant's
-    /// cursor into these logs identifies exactly the history it has not
-    /// been sent yet (§4.3's "last message of the local history sent to
-    /// each descendant"), making diffs O(new entries) instead of
-    /// O(full history).
+    /// Every retained vertex and every retained edge, in admission order.
+    /// They are the history itself, and they back `diff-hst`: a
+    /// descendant's cursor into these logs identifies exactly the history
+    /// it has not been sent yet (§4.3's "last message of the local
+    /// history sent to each descendant"), making diffs O(new entries)
+    /// instead of O(full history).
     vert_log: Vec<MsgRef>,
     edge_log: Vec<TaggedEdge>,
-    /// Number of retained vertices addressed to each group (indexed by
-    /// group rank, grown on demand), for O(1) `contains_msg_to`
-    /// (evaluated on every forward by `send-notifs`).
-    addressed: Vec<u32>,
     /// Per-client contiguous-prefix watermark over every id this history
     /// has *ever* admitted — still retained or since pruned: all seqs
     /// `<= wm` have been seen. A group receives the same vertex from up
     /// to `n − 1` ancestors, so on the merge hot path almost every delta
     /// entry is a duplicate; one probe of this small, cache-hot map
-    /// rejects it without walking the full vertex map. The watermark
-    /// doubles as the garbage-collection tombstone: a pruned id stays
-    /// seen forever, so a stale ancestor diff can never resurrect it.
-    /// Compactness comes from the closed-loop client property (a client's
-    /// messages complete strictly in sequence), with a small residual set
-    /// for out-of-prefix stragglers. Client ids are dense from 0, so the
-    /// watermark lives in a flat vector ([`NO_WATERMARK`] = nothing seen)
-    /// — this probe runs once per delta entry and is the single hottest
-    /// lookup in the whole simulator, so it must not pointer-chase.
+    /// rejects it without touching the index. The watermark doubles as
+    /// the garbage-collection tombstone: a pruned id stays seen forever,
+    /// so a stale ancestor diff can never resurrect it. Compactness comes
+    /// from the closed-loop client property (a client's messages complete
+    /// strictly in sequence), with a small residual set for out-of-prefix
+    /// stragglers. Client ids are dense from 0, so the watermark lives in
+    /// a flat vector ([`NO_WATERMARK`] = nothing seen) — this probe runs
+    /// once per delta entry and is the single hottest lookup in the whole
+    /// simulator, so it must not pointer-chase.
     seen_watermark: Vec<u32>,
     seen_residual: BTreeSet<MsgId>,
     /// Per-creator record of the chain-edge indices this history has
@@ -197,6 +222,192 @@ pub struct History {
     merge_stats: MergeStats,
 }
 
+/// The derived half of a [`History`]: lookup and adjacency over the logs,
+/// addressed by *slot* (a position in `vert_log`) and edge index (a
+/// position in `edge_log`). Appended to as entries are admitted; rebuilt
+/// whole after compaction and on restore.
+#[derive(Clone, Default)]
+struct Index {
+    /// Vertex id → slot. Only ever probed, never iterated.
+    slot: HashMap<MsgId, u32, BuildHasherDefault<FxHasher>>,
+    /// Per slot: the first edge of the vertex's predecessor (incoming)
+    /// and successor (outgoing) lists, or [`NIL`].
+    pred_head: Vec<u32>,
+    succ_head: Vec<u32>,
+    /// Per edge: the next edge in the same predecessor / successor list.
+    pred_next: Vec<u32>,
+    succ_next: Vec<u32>,
+    /// Number of retained vertices addressed to each group (indexed by
+    /// group rank, grown on demand), for O(1) `contains_msg_to`
+    /// (evaluated on every forward by `send-notifs`).
+    addressed: Vec<u32>,
+}
+
+impl Index {
+    /// Indexes the logs from scratch, right-sizing every table. Fails on
+    /// logs no history could have written: a vertex logged twice or an
+    /// edge whose endpoint is not a logged vertex.
+    fn build(logs: &Logs) -> Result<Index, &'static str> {
+        let (nv, ne) = (logs.vert_log.len(), logs.edge_log.len());
+        let mut ix = Index {
+            slot: HashMap::with_capacity_and_hasher(nv, Default::default()),
+            pred_head: Vec::with_capacity(nv),
+            succ_head: Vec::with_capacity(nv),
+            pred_next: Vec::with_capacity(ne),
+            succ_next: Vec::with_capacity(ne),
+            addressed: Vec::new(),
+        };
+        for v in &logs.vert_log {
+            if !ix.add_vert(v) {
+                return Err("history log holds a vertex twice");
+            }
+        }
+        for e in &logs.edge_log {
+            let (Some(&b), Some(&a)) = (ix.slot.get(&e.before), ix.slot.get(&e.after)) else {
+                return Err("history log holds an edge with a missing endpoint");
+            };
+            ix.add_edge(b, a);
+        }
+        Ok(ix)
+    }
+
+    /// Indexes the vertex about to be appended to `vert_log`. False (and
+    /// no change) if its id already has a slot.
+    fn add_vert(&mut self, v: &MsgRef) -> bool {
+        let slot = self.pred_head.len() as u32;
+        match self.slot.entry(v.id) {
+            Entry::Occupied(_) => return false,
+            Entry::Vacant(e) => e.insert(slot),
+        };
+        self.pred_head.push(NIL);
+        self.succ_head.push(NIL);
+        for g in v.dst.iter() {
+            if g.index() >= self.addressed.len() {
+                self.addressed.resize(g.index() + 1, 0);
+            }
+            self.addressed[g.index()] += 1;
+        }
+        true
+    }
+
+    /// Indexes the edge about to be appended to `edge_log`, between the
+    /// vertices in slots `before` and `after`.
+    fn add_edge(&mut self, before: u32, after: u32) {
+        let e = self.pred_next.len() as u32;
+        self.pred_next.push(self.pred_head[after as usize]);
+        self.pred_head[after as usize] = e;
+        self.succ_next.push(self.succ_head[before as usize]);
+        self.succ_head[before as usize] = e;
+    }
+
+    /// The slot of a vertex that is known to be retained (an endpoint of
+    /// a retained edge).
+    fn slot_of(&self, id: MsgId) -> usize {
+        self.slot[&id] as usize
+    }
+
+    /// Edge indices into the vertex in slot `s`.
+    fn preds(&self, s: usize) -> EdgeList<'_> {
+        EdgeList {
+            at: self.pred_head[s],
+            next: &self.pred_next,
+        }
+    }
+
+    /// Edge indices out of the vertex in slot `s`.
+    fn succs(&self, s: usize) -> EdgeList<'_> {
+        EdgeList {
+            at: self.succ_head[s],
+            next: &self.succ_next,
+        }
+    }
+}
+
+impl std::fmt::Debug for Index {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Index")
+            .field("verts", &self.pred_head.len())
+            .field("edges", &self.pred_next.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// One adjacency list of the [`Index`]: edge indices linked through
+/// `next`, most recently added first.
+struct EdgeList<'a> {
+    at: u32,
+    next: &'a [u32],
+}
+
+impl Iterator for EdgeList<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        (self.at != NIL).then(|| {
+            let e = self.at as usize;
+            self.at = self.next[e];
+            e
+        })
+    }
+}
+
+/// Keeps the entries of `log` whose `keep` flag is set and remaps each
+/// cursor into it: a new cursor counts the kept entries among the old
+/// prefix it covered.
+fn compact<T>(log: &mut Vec<T>, keep: &[bool], cursors: &mut [usize]) {
+    let mut prefix = Vec::with_capacity(keep.len() + 1);
+    prefix.push(0usize);
+    for &k in keep {
+        prefix.push(prefix[prefix.len() - 1] + k as usize);
+    }
+    for c in cursors.iter_mut() {
+        *c = prefix[(*c).min(keep.len())];
+    }
+    let mut keep_it = keep.iter();
+    log.retain(|_| *keep_it.next().expect("one flag per entry"));
+}
+
+/// A group's history DAG (`hst` in Algorithm 1).
+///
+/// The insertion logs are the store: one entry per retained vertex and
+/// edge, in admission order. Everything the queries need besides — id
+/// lookup, predecessor and successor lists, per-group counts — is an
+/// index derived from the logs. It grows as entries are admitted, is
+/// rebuilt from the compacted logs by [`History::prune_before`] and from
+/// the decoded logs on deserialization, and is never serialized.
+///
+/// Deterministic by construction: every ordered output — the bytes of
+/// every [`HistoryDelta`], [`History::verts`], [`History::edges`], the
+/// pruned ids — comes from the logs or from ordered sets. The index's
+/// id map is hashed but only ever probed, never iterated, so hash order
+/// cannot reach any output. That determinism is what lets the engine
+/// run unchanged under state machine replication.
+#[derive(Clone, Debug, Default)]
+pub struct History {
+    logs: Logs,
+    index: Index,
+}
+
+impl Serialize for History {
+    fn serialize<S>(&self, serializer: S) -> Result<S::Ok, S::Error>
+    where
+        S: Serializer,
+    {
+        self.logs.serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for History {
+    fn deserialize<D>(deserializer: D) -> Result<Self, D::Error>
+    where
+        D: Deserializer<'de>,
+    {
+        let logs = Logs::deserialize(deserializer)?;
+        let index = Index::build(&logs).map_err(serde::de::Error::custom)?;
+        Ok(History { logs, index })
+    }
+}
+
 impl History {
     /// Creates an empty history.
     pub fn new() -> Self {
@@ -205,54 +416,63 @@ impl History {
 
     /// Number of vertices currently retained.
     pub fn len(&self) -> usize {
-        self.verts.len()
+        self.logs.vert_log.len()
     }
 
     /// True if the history holds no vertices.
     pub fn is_empty(&self) -> bool {
-        self.verts.is_empty()
+        self.logs.vert_log.is_empty()
     }
 
     /// Number of edges currently retained.
     pub fn edge_count(&self) -> usize {
-        self.preds.values().map(BTreeSet::len).sum()
+        self.logs.edge_log.len()
     }
 
     /// The last message delivered by this group (`hst.lastDlvd`).
     pub fn last_delivered(&self) -> Option<MsgId> {
-        self.last_delivered
+        self.logs.last_delivered
     }
 
     /// True if the history contains a vertex for `id`.
     pub fn contains(&self, id: MsgId) -> bool {
-        self.verts.contains_key(&id)
+        self.index.slot.contains_key(&id)
     }
 
     /// Destinations of a vertex, if present.
     pub fn dst_of(&self, id: MsgId) -> Option<DestSet> {
-        self.verts.get(&id).copied()
+        let s = *self.index.slot.get(&id)?;
+        Some(self.logs.vert_log[s as usize].dst)
     }
 
-    /// Iterates all vertices.
+    /// Iterates all vertices, in admission order.
     pub fn verts(&self) -> impl Iterator<Item = MsgRef> + '_ {
-        self.verts.iter().map(|(&id, &dst)| MsgRef { id, dst })
+        self.logs.vert_log.iter().copied()
     }
 
-    /// Iterates all edges as `(before, after)` pairs.
+    /// Iterates all edges as `(before, after)` pairs, in admission order.
     pub fn edges(&self) -> impl Iterator<Item = (MsgId, MsgId)> + '_ {
-        self.preds
-            .iter()
-            .flat_map(|(&after, befores)| befores.iter().map(move |&b| (b, after)))
+        self.logs.edge_log.iter().map(|e| (e.before, e.after))
     }
 
-    /// Direct predecessors of `id`.
+    /// Direct predecessors of `id`, in no particular order.
     pub fn preds_of(&self, id: MsgId) -> impl Iterator<Item = MsgId> + '_ {
-        self.preds.get(&id).into_iter().flatten().copied()
+        self.index
+            .slot
+            .get(&id)
+            .into_iter()
+            .flat_map(|&s| self.index.preds(s as usize))
+            .map(|e| self.logs.edge_log[e].before)
     }
 
-    /// Direct successors of `id`.
+    /// Direct successors of `id`, in no particular order.
     pub fn succs_of(&self, id: MsgId) -> impl Iterator<Item = MsgId> + '_ {
-        self.succs.get(&id).into_iter().flatten().copied()
+        self.index
+            .slot
+            .get(&id)
+            .into_iter()
+            .flat_map(|&s| self.index.succs(s as usize))
+            .map(|e| self.logs.edge_log[e].after)
     }
 
     /// True if `id` was ever admitted into this history — whether still
@@ -261,36 +481,38 @@ impl History {
     #[inline]
     pub fn has_seen(&self, id: MsgId) -> bool {
         let wm = self
+            .logs
             .seen_watermark
             .get(id.sender.0 as usize)
             .copied()
             .unwrap_or(NO_WATERMARK);
-        (wm != NO_WATERMARK && id.seq <= wm) || self.seen_residual.contains(&id)
+        (wm != NO_WATERMARK && id.seq <= wm) || self.logs.seen_residual.contains(&id)
     }
 
     /// Records `id` as seen, promoting contiguous per-client prefixes into
     /// the watermark so the residual set stays small.
     fn note_seen(&mut self, id: MsgId) {
+        let logs = &mut self.logs;
         let ci = id.sender.0 as usize;
-        if ci >= self.seen_watermark.len() {
-            self.seen_watermark.resize(ci + 1, NO_WATERMARK);
+        if ci >= logs.seen_watermark.len() {
+            logs.seen_watermark.resize(ci + 1, NO_WATERMARK);
         }
         // `NO_WATERMARK + 1` wraps to 0: a fresh client's prefix starts
         // at sequence 0, exactly like the old `None` case.
-        let next = self.seen_watermark[ci].wrapping_add(1);
+        let next = logs.seen_watermark[ci].wrapping_add(1);
         if id.seq == next {
             let mut w = id.seq;
             // Absorb any residual stragglers that are now contiguous.
             loop {
                 let n = w.wrapping_add(1);
-                if !self.seen_residual.remove(&MsgId::new(id.sender, n)) {
+                if !logs.seen_residual.remove(&MsgId::new(id.sender, n)) {
                     break;
                 }
                 w = n;
             }
-            self.seen_watermark[ci] = w;
+            logs.seen_watermark[ci] = w;
         } else {
-            self.seen_residual.insert(id);
+            logs.seen_residual.insert(id);
         }
     }
 
@@ -300,22 +522,26 @@ impl History {
     /// search over that creator's (almost always one-element) range list.
     #[inline]
     pub fn edge_processed(&self, creator: GroupId, idx: u32) -> bool {
-        self.edge_seen.get(creator.index()).is_some_and(|ranges| {
-            match ranges.binary_search_by(|&(s, _)| s.cmp(&idx)) {
-                Ok(_) => true,
-                Err(0) => false,
-                Err(i) => ranges[i - 1].1 >= idx,
-            }
-        })
+        self.logs
+            .edge_seen
+            .get(creator.index())
+            .is_some_and(
+                |ranges| match ranges.binary_search_by(|&(s, _)| s.cmp(&idx)) {
+                    Ok(_) => true,
+                    Err(0) => false,
+                    Err(i) => ranges[i - 1].1 >= idx,
+                },
+            )
     }
 
     /// Records `(creator, idx)` as processed, merging into the creator's
     /// range list (extending or joining neighbors where contiguous).
     fn note_edge(&mut self, creator: GroupId, idx: u32) {
-        if creator.index() >= self.edge_seen.len() {
-            self.edge_seen.resize(creator.index() + 1, Vec::new());
+        let edge_seen = &mut self.logs.edge_seen;
+        if creator.index() >= edge_seen.len() {
+            edge_seen.resize(creator.index() + 1, Vec::new());
         }
-        let ranges = &mut self.edge_seen[creator.index()];
+        let ranges = &mut edge_seen[creator.index()];
         let i = match ranges.binary_search_by(|&(s, _)| s.cmp(&idx)) {
             Ok(_) => return, // a range starts exactly here: covered
             Err(i) => i,
@@ -344,25 +570,33 @@ impl History {
             return false;
         }
         self.note_seen(v.id);
-        self.verts.insert(v.id, v.dst);
-        self.vert_log.push(v);
-        self.admitted += 1;
-        for g in v.dst.iter() {
-            if g.index() >= self.addressed.len() {
-                self.addressed.resize(g.index() + 1, 0);
-            }
-            self.addressed[g.index()] += 1;
-        }
+        let fresh = self.index.add_vert(&v);
+        debug_assert!(fresh, "an unseen id has no slot");
+        self.logs.vert_log.push(v);
+        self.logs.admitted += 1;
         true
     }
 
-    /// Links `before → after` in the DAG. Caller has already checked the
-    /// duplicate and endpoint-presence conditions.
-    fn link(&mut self, e: TaggedEdge) {
-        self.preds.entry(e.after).or_default().insert(e.before);
-        self.succs.entry(e.before).or_default().insert(e.after);
-        self.edge_log.push(e);
-        self.admitted += 1;
+    /// The slots of both endpoints of `before → after` when both are
+    /// retained and the edge is not: the condition for linking it.
+    fn linkable(&self, before: MsgId, after: MsgId) -> Option<(u32, u32)> {
+        if before == after {
+            return None;
+        }
+        let b = *self.index.slot.get(&before)?;
+        let a = *self.index.slot.get(&after)?;
+        let linked = self
+            .index
+            .preds(a as usize)
+            .any(|e| self.logs.edge_log[e].before == before);
+        (!linked).then_some((b, a))
+    }
+
+    /// Links `e` between the vertices in slots `b` and `a` and logs it.
+    fn link(&mut self, e: TaggedEdge, (b, a): (u32, u32)) {
+        self.index.add_edge(b, a);
+        self.logs.edge_log.push(e);
+        self.logs.admitted += 1;
     }
 
     /// Creates a *new* order edge `before → after` on behalf of `creator`
@@ -372,81 +606,63 @@ impl History {
     /// (and no index) is produced, so the local creator stream stays
     /// dense.
     pub fn create_edge(&mut self, creator: GroupId, before: MsgId, after: MsgId) {
-        if before == after {
+        let Some(slots) = self.linkable(before, after) else {
             return;
-        }
-        if self
-            .preds
-            .get(&after)
-            .is_some_and(|ps| ps.contains(&before))
-        {
-            return;
-        }
-        if !self.verts.contains_key(&before) || !self.verts.contains_key(&after) {
-            return;
-        }
+        };
         let e = TaggedEdge {
             creator,
-            idx: self.next_edge_idx,
+            idx: self.logs.next_edge_idx,
             before,
             after,
         };
-        self.next_edge_idx += 1;
+        self.logs.next_edge_idx += 1;
         self.note_edge(e.creator, e.idx);
-        self.link(e);
+        self.link(e, slots);
     }
 
     /// Applies a *received* tagged edge (the merge path). Returns true
     /// when the edge was genuinely new. Rejections — already-processed
-    /// stream element, content duplicate from another creator, or a
-    /// pruned endpoint — all mark the stream element processed, because
+    /// stream element, self loop, content duplicate from another creator
+    /// (two groups can create the same `before → after` pair
+    /// independently; only the first is linked and logged), or a pruned
+    /// endpoint — all mark the stream element processed, because
     /// re-processing it later would be a no-op either way: that is the
     /// invariant that makes watermark-based suppression upstream safe.
+    /// A delta always ships its vertices with (or before) its edges, so
+    /// a missing endpoint means the vertex was pruned here — and
+    /// tombstones make that permanent, so dropping is final.
     fn apply_edge(&mut self, e: TaggedEdge) -> bool {
         if self.edge_processed(e.creator, e.idx) {
             return false;
         }
         self.note_edge(e.creator, e.idx);
-        if e.before == e.after {
+        let Some(slots) = self.linkable(e.before, e.after) else {
             return false;
-        }
-        // Content duplicate: two groups can create the same `before →
-        // after` pair independently; only the first is linked and logged.
-        if self
-            .preds
-            .get(&e.after)
-            .is_some_and(|ps| ps.contains(&e.before))
-        {
-            return false;
-        }
-        // A delta always ships its vertices with (or before) its edges,
-        // so a missing endpoint means the vertex was pruned here — and
-        // tombstones make that permanent, so dropping is final.
-        if !self.verts.contains_key(&e.before) || !self.verts.contains_key(&e.after) {
-            return false;
-        }
-        self.link(e);
+        };
+        self.link(e, slots);
         true
     }
 
     /// Length of the vertex insertion log (a `diff-hst` cursor bound).
     pub fn vert_log_len(&self) -> usize {
-        self.vert_log.len()
+        self.logs.vert_log.len()
     }
 
     /// Length of the edge insertion log (a `diff-hst` cursor bound).
     pub fn edge_log_len(&self) -> usize {
-        self.edge_log.len()
+        self.logs.edge_log.len()
     }
 
     /// Vertices inserted at or after log position `from`.
     pub fn verts_since(&self, from: usize) -> &[MsgRef] {
-        &self.vert_log[from.min(self.vert_log.len())..]
+        let log = &self.logs.vert_log;
+        &log[from.min(log.len())..]
     }
 
     /// Edges inserted at or after log position `from`.
     pub fn edges_since(&self, from: usize) -> &[TaggedEdge] {
-        &self.edge_log[from.min(self.edge_log.len())..]
+        let log = &self.logs.edge_log;
+        &log[from.min(log.len())..]
     }
 
     /// Monotone count of entries (vertices + edges) ever admitted into
@@ -454,14 +670,15 @@ impl History {
     /// under GC compaction, so it can drive growth-triggered actions like
     /// watermark advertisement.
     pub fn admitted_entries(&self) -> u64 {
-        self.admitted
+        self.logs.admitted
     }
 
     /// The per-client vertex watermark (contiguous seen prefix per
     /// client), in ascending client order — the vertex half of a
     /// [`flexcast_types::Watermarks`] advertisement.
     pub fn client_watermarks(&self) -> impl Iterator<Item = (flexcast_types::ClientId, u32)> + '_ {
-        self.seen_watermark
+        self.logs
+            .seen_watermark
             .iter()
             .enumerate()
             .filter(|&(_, &w)| w != NO_WATERMARK)
@@ -475,7 +692,8 @@ impl History {
     /// advertised (conservative; they stay until the hole fills or
     /// forever, bounded in memory either way).
     pub fn edge_prefixes(&self) -> impl Iterator<Item = (GroupId, u32)> + '_ {
-        self.edge_seen
+        self.logs
+            .edge_seen
             .iter()
             .enumerate()
             .filter_map(|(g, ranges)| match ranges.first() {
@@ -487,7 +705,8 @@ impl History {
     /// The contiguous processed prefix for one creator (tests and
     /// diagnostics): `Some(end)` if indices `0..=end` are processed.
     pub fn edge_prefix(&self, creator: GroupId) -> Option<u32> {
-        self.edge_seen
+        self.logs
+            .edge_seen
             .get(creator.index())
             .and_then(|ranges| match ranges.first() {
                 Some(&(0, end)) => Some(end),
@@ -497,7 +716,7 @@ impl History {
 
     /// Merge-path duplicate counters.
     pub fn merge_stats(&self) -> MergeStats {
-        self.merge_stats
+        self.logs.merge_stats
     }
 
     /// Records a local delivery (`hst-add`, Alg. 3 line 4): inserts the
@@ -506,10 +725,10 @@ impl History {
     /// edge this delivery creates.
     pub fn record_delivery(&mut self, v: MsgRef, creator: GroupId) {
         self.insert_vert(v);
-        if let Some(last) = self.last_delivered {
+        if let Some(last) = self.logs.last_delivered {
             self.create_edge(creator, last, v.id);
         }
-        self.last_delivered = Some(v.id);
+        self.logs.last_delivered = Some(v.id);
     }
 
     /// Merges a received delta (`update-hst`, Alg. 3 line 1). Vertices
@@ -519,15 +738,15 @@ impl History {
     /// counts accumulate in [`History::merge_stats`].
     pub fn merge(&mut self, delta: &HistoryDelta) {
         for v in &delta.verts {
-            self.merge_stats.verts_in += 1;
+            self.logs.merge_stats.verts_in += 1;
             if !self.insert_vert(*v) {
-                self.merge_stats.verts_dup += 1;
+                self.logs.merge_stats.verts_dup += 1;
             }
         }
         for &e in &delta.edges {
-            self.merge_stats.edges_in += 1;
+            self.logs.merge_stats.edges_in += 1;
             if !self.apply_edge(e) {
-                self.merge_stats.edges_dup += 1;
+                self.logs.merge_stats.edges_dup += 1;
             }
         }
     }
@@ -535,7 +754,7 @@ impl History {
     /// True if the history has any vertex addressed to `g`
     /// (`hst.containsMsgTo`, Alg. 3 line 38).
     pub fn contains_msg_to(&self, g: GroupId) -> bool {
-        self.addressed.get(g.index()).copied().unwrap_or(0) > 0
+        self.index.addressed.get(g.index()).copied().unwrap_or(0) > 0
     }
 
     /// True if there is a directed path `from →* to` (strictly, length ≥ 1
@@ -546,17 +765,20 @@ impl History {
         if from == to {
             return true;
         }
-        let mut stack = vec![from];
-        let mut seen = BTreeSet::new();
-        while let Some(v) = stack.pop() {
-            if let Some(nexts) = self.succs.get(&v) {
-                for &n in nexts {
-                    if n == to {
-                        return true;
-                    }
-                    if seen.insert(n) {
-                        stack.push(n);
-                    }
+        let Some(&f) = self.index.slot.get(&from) else {
+            return false;
+        };
+        let mut seen = vec![false; self.len()];
+        let mut stack = vec![f as usize];
+        while let Some(s) = stack.pop() {
+            for e in self.index.succs(s) {
+                let n = self.logs.edge_log[e].after;
+                if n == to {
+                    return true;
+                }
+                let ns = self.index.slot_of(n);
+                if !std::mem::replace(&mut seen[ns], true) {
+                    stack.push(ns);
                 }
             }
         }
@@ -579,21 +801,20 @@ impl History {
         g: GroupId,
         delivered: &BTreeSet<MsgId>,
     ) -> Option<MsgId> {
-        let mut stack: Vec<MsgId> = self.preds_of(m).collect();
-        let mut seen: BTreeSet<MsgId> = stack.iter().copied().collect();
-        while let Some(v) = stack.pop() {
-            if delivered.contains(&v) {
-                continue; // resolved past: cannot block, do not expand
-            }
-            if let Some(dst) = self.verts.get(&v) {
-                if dst.contains(g) {
-                    return Some(v);
+        let &ms = self.index.slot.get(&m)?;
+        let mut seen = vec![false; self.len()];
+        let mut stack = vec![ms as usize];
+        while let Some(s) = stack.pop() {
+            for e in self.index.preds(s) {
+                let p = self.logs.edge_log[e].before;
+                let ps = self.index.slot_of(p);
+                if std::mem::replace(&mut seen[ps], true) || delivered.contains(&p) {
+                    continue; // resolved past: cannot block, do not expand
                 }
-            }
-            for p in self.preds_of(v) {
-                if seen.insert(p) {
-                    stack.push(p);
+                if self.logs.vert_log[ps].dst.contains(g) {
+                    return Some(p);
                 }
+                stack.push(ps);
             }
         }
         None
@@ -602,128 +823,86 @@ impl History {
     /// All vertices addressed to `g` that are not in `delivered`
     /// (`open-dependencies`, Alg. 3 line 9).
     pub fn open_dependencies(&self, g: GroupId, delivered: &BTreeSet<MsgId>) -> BTreeSet<MsgId> {
-        self.verts
+        self.logs
+            .vert_log
             .iter()
-            .filter(|(id, dst)| dst.contains(g) && !delivered.contains(id))
-            .map(|(&id, _)| id)
+            .filter(|v| v.dst.contains(g) && !delivered.contains(&v.id))
+            .map(|v| v.id)
             .collect()
     }
 
     /// Removes every vertex from which `fence` is reachable (the strict
-    /// past of `fence`), keeping `fence` itself. Returns the pruned ids.
-    /// This is the flush-based garbage collection of §4.3.
+    /// past of `fence`), keeping `fence` itself. Returns the pruned ids in
+    /// ascending order. This is the flush-based garbage collection of
+    /// §4.3.
     ///
     /// `vert_cursors`/`edge_cursors` are per-descendant `diff-hst` cursors
     /// into the insertion logs; compaction remaps them so each cursor
-    /// still covers exactly the entries its descendant has received.
+    /// still covers exactly the entries its descendant has received. The
+    /// index is then rebuilt from the compacted logs.
     pub fn prune_before(
         &mut self,
         fence: MsgId,
         vert_cursors: &mut [usize],
         edge_cursors: &mut [usize],
     ) -> Vec<MsgId> {
-        if !self.verts.contains_key(&fence) {
+        let Some(&f) = self.index.slot.get(&fence) else {
+            return Vec::new();
+        };
+        // Backward closure from the fence: clear the keep flag of every
+        // vertex in it and of every edge touching one.
+        let ix = &self.index;
+        let edge_log = &self.logs.edge_log;
+        let pred_slot = |e: usize| ix.slot_of(edge_log[e].before);
+        let mut keep_vert = vec![true; self.len()];
+        let mut keep_edge = vec![true; self.edge_count()];
+        let mut pruned = Vec::new();
+        let mut stack: Vec<usize> = ix.preds(f as usize).map(pred_slot).collect();
+        while let Some(s) = stack.pop() {
+            if std::mem::replace(&mut keep_vert[s], false) {
+                pruned.push(self.logs.vert_log[s].id);
+                for e in ix.succs(s) {
+                    keep_edge[e] = false;
+                }
+                for e in ix.preds(s) {
+                    keep_edge[e] = false;
+                    stack.push(pred_slot(e));
+                }
+            }
+        }
+        if pruned.is_empty() {
             return Vec::new();
         }
-        // Backward closure from the fence.
-        let mut doomed = BTreeSet::new();
-        let mut stack: Vec<MsgId> = self.preds_of(fence).collect();
-        while let Some(v) = stack.pop() {
-            if doomed.insert(v) {
-                stack.extend(self.preds_of(v));
-            }
-        }
-        if doomed.is_empty() {
-            return Vec::new();
-        }
-        // Membership below is probed once per retained log entry; a
-        // sorted slice's binary search beats walking the tree each time.
-        let doomed_sorted: Vec<MsgId> = doomed.iter().copied().collect();
-        let is_doomed = |id: &MsgId| doomed_sorted.binary_search(id).is_ok();
-        for &v in &doomed {
-            if let Some(dst) = self.verts.remove(&v) {
-                for g in dst.iter() {
-                    if let Some(c) = self.addressed.get_mut(g.index()) {
-                        *c -= 1;
-                    }
-                }
-            }
-            if let Some(ps) = self.preds.remove(&v) {
-                for p in ps {
-                    if let Some(s) = self.succs.get_mut(&p) {
-                        s.remove(&v);
-                    }
-                }
-            }
-            if let Some(ss) = self.succs.remove(&v) {
-                for s in ss {
-                    if let Some(p) = self.preds.get_mut(&s) {
-                        p.remove(&v);
-                    }
-                }
-            }
-        }
-
-        // Compact the logs and remap cursors: a new cursor counts the
-        // retained entries among the old prefix it covered.
-        let vert_retained: Vec<bool> = self.vert_log.iter().map(|v| !is_doomed(&v.id)).collect();
-        let mut vert_prefix = vec![0usize; vert_retained.len() + 1];
-        for (i, &keep) in vert_retained.iter().enumerate() {
-            vert_prefix[i + 1] = vert_prefix[i] + keep as usize;
-        }
-        for c in vert_cursors.iter_mut() {
-            *c = vert_prefix[(*c).min(vert_retained.len())];
-        }
-        let mut keep_it = vert_retained.iter().copied();
-        self.vert_log.retain(|_| keep_it.next().unwrap_or(true));
-
-        let edge_retained: Vec<bool> = self
-            .edge_log
-            .iter()
-            .map(|e| !is_doomed(&e.before) && !is_doomed(&e.after))
-            .collect();
-        let mut edge_prefix = vec![0usize; edge_retained.len() + 1];
-        for (i, &keep) in edge_retained.iter().enumerate() {
-            edge_prefix[i + 1] = edge_prefix[i] + keep as usize;
-        }
-        for c in edge_cursors.iter_mut() {
-            *c = edge_prefix[(*c).min(edge_retained.len())];
-        }
-        let mut keep_it = edge_retained.iter().copied();
-        self.edge_log.retain(|_| keep_it.next().unwrap_or(true));
-
-        doomed.into_iter().collect()
+        pruned.sort_unstable();
+        compact(&mut self.logs.vert_log, &keep_vert, vert_cursors);
+        compact(&mut self.logs.edge_log, &keep_edge, edge_cursors);
+        // Drop the old index before building its replacement, so the two
+        // never coexist at the peak.
+        self.index = Index::default();
+        self.index = Index::build(&self.logs).expect("compaction keeps the logs consistent");
+        pruned
     }
 
     /// Checks that the history is acyclic (test/diagnostic helper; the
     /// protocol maintains acyclicity as an invariant).
     pub fn is_acyclic(&self) -> bool {
         // Kahn's algorithm over the retained graph.
-        let mut indegree: BTreeMap<MsgId, usize> = self.verts.keys().map(|&id| (id, 0)).collect();
-        for (_, after) in self.edges() {
-            *indegree
-                .get_mut(&after)
-                .expect("edge endpoints are vertices") += 1;
-        }
-        let mut ready: Vec<MsgId> = indegree
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&id, _)| id)
+        let mut indegree: Vec<usize> = (0..self.len())
+            .map(|s| self.index.preds(s).count())
             .collect();
+        let mut ready: Vec<usize> = (0..self.len()).filter(|&s| indegree[s] == 0).collect();
         let mut seen = 0usize;
-        while let Some(v) = ready.pop() {
+        while let Some(s) = ready.pop() {
             seen += 1;
-            if let Some(ss) = self.succs.get(&v) {
-                for &s in ss {
-                    let d = indegree.get_mut(&s).expect("vertex");
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.push(s);
-                    }
+            for e in self.index.succs(s) {
+                let t = self.index.slot_of(self.logs.edge_log[e].after);
+                indegree[t] -= 1;
+                if indegree[t] == 0 {
+                    ready.push(t);
                 }
             }
         }
-        seen == self.verts.len()
+        seen == self.len()
     }
 }
 
@@ -1066,5 +1245,26 @@ mod tests {
         assert_eq!(st.entries_in(), 4);
         assert_eq!(st.entries_dup(), 2);
         assert!((st.dup_ratio() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn restore_rebuilds_the_index_and_rejects_inconsistent_logs() {
+        let mut h = History::new();
+        h.record_delivery(vref(1, &[0]), OWNER);
+        h.record_delivery(vref(2, &[3]), OWNER);
+        let bytes = flexcast_wire::to_bytes(&h).unwrap();
+        let r: History = flexcast_wire::from_bytes(&bytes).unwrap();
+        assert_eq!(r.preds_of(id(2)).collect::<Vec<_>>(), vec![id(1)]);
+        assert!(r.contains_msg_to(GroupId(3)));
+        assert_eq!(flexcast_wire::to_bytes(&r).unwrap(), bytes);
+
+        let mut dangling = h.logs.clone();
+        dangling.vert_log.remove(0);
+        let bytes = flexcast_wire::to_bytes(&dangling).unwrap();
+        assert!(flexcast_wire::from_bytes::<History>(&bytes).is_err());
+        let mut twice = h.logs.clone();
+        twice.vert_log.push(twice.vert_log[0]);
+        let bytes = flexcast_wire::to_bytes(&twice).unwrap();
+        assert!(flexcast_wire::from_bytes::<History>(&bytes).is_err());
     }
 }

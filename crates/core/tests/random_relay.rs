@@ -68,6 +68,11 @@ impl ChaosNet {
         let mut out = Vec::new();
         self.engines[to as usize].on_packet(GroupId(from), pkt, &mut out);
         self.absorb(GroupId(to), out);
+        // Mid-protocol snapshots are idempotent: restoring one and
+        // snapshotting again reproduces it byte for byte.
+        let snap = self.engines[to as usize].snapshot().unwrap();
+        let again = FlexCastGroup::restore(&snap).unwrap().snapshot().unwrap();
+        assert_eq!(again, snap, "snapshot of g{to} is not idempotent");
         true
     }
 
