@@ -16,11 +16,10 @@
 
 use flexcast_overlay::Tree;
 use flexcast_types::{GroupId, Message};
-use serde::{Deserialize, Serialize};
 
 /// The only packet kind: the application message being routed down the
 /// tree. (Ordering state is implicit in FIFO links and visit order.)
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct HierPacket(pub Message);
 
 /// An action produced by the hierarchical engine.

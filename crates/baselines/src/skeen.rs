@@ -15,11 +15,10 @@
 //! with `flexcast-smr` exactly as for FlexCast.
 
 use flexcast_types::{GroupId, Message, MsgId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Packets exchanged by Skeen's protocol.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum SkeenPacket {
     /// The application message, sent by the client to every destination.
     Msg(Message),

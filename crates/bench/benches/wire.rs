@@ -1,8 +1,10 @@
 //! Micro-benchmarks for the wire codec used in framing and the Figure 8
-//! message-size accounting.
+//! message-size accounting. Encoding and sizing are one `Wire` walk into
+//! a byte vector or a byte counter; decoding is the validating read.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexcast_core::{HistoryDelta, MsgRef, Packet, TaggedEdge};
+use flexcast_harness::NetMsg;
 use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Payload};
 use std::hint::black_box;
 
@@ -59,10 +61,17 @@ fn bench_decode(c: &mut Criterion) {
     g.finish();
 }
 
+/// The counting walk: `encoded_len` on a packet, and `wire_size` on the
+/// simulator envelope, which traffic accounting calls at every send and
+/// receive.
 fn bench_size_only(c: &mut Criterion) {
     let p = packet(128);
     c.bench_function("wire_encoded_size_packet_128", |b| {
         b.iter(|| black_box(flexcast_wire::encoded_len(black_box(&p)).unwrap()));
+    });
+    let m = NetMsg::GroupMsg { seq: 1_000, pkt: p };
+    c.bench_function("wire_size_netmsg_128", |b| {
+        b.iter(|| black_box(black_box(&m).wire_size()));
     });
 }
 

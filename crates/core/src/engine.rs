@@ -27,7 +27,7 @@ use crate::history::{History, HistoryDelta, MergeStats, MsgRef, NO_WATERMARK};
 use crate::packet::{NotifPair, Packet};
 use flexcast_telemetry::Telemetry;
 use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Watermarks};
-use serde::{Deserialize, Serialize};
+use flexcast_wire::wire_struct;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Payload marking a garbage-collection flush message (§4.3). A flush must
@@ -56,7 +56,7 @@ pub enum Output {
 /// watermark advertisements this engine exchanged and how many history
 /// entries it withheld from outgoing deltas because the receiver had
 /// advertised them as already processed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SuppressionStats {
     /// Advertisement packets emitted (to upstream neighbors).
     pub adverts_sent: u64,
@@ -67,6 +67,13 @@ pub struct SuppressionStats {
     /// Edges omitted from outgoing deltas as receiver-covered.
     pub suppressed_edges: u64,
 }
+
+wire_struct!(SuppressionStats {
+    adverts_sent,
+    adverts_received,
+    suppressed_verts,
+    suppressed_edges,
+});
 
 impl SuppressionStats {
     /// Total entries suppressed from outgoing deltas.
@@ -80,7 +87,7 @@ impl SuppressionStats {
 /// The message itself is `Some` once its `msg` packet has arrived; acks
 /// can overtake the msg on a different C-DAG edge, so either may arrive
 /// first.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 struct PendingEntry {
     msg: Option<Message>,
     /// Received acks as `(acker, via)` — `via` is the acker itself for
@@ -90,6 +97,12 @@ struct PendingEntry {
     required: BTreeSet<NotifPair>,
 }
 
+wire_struct!(PendingEntry {
+    msg,
+    acks,
+    required
+});
+
 /// A FlexCast group: the per-group state of Algorithm 1 plus the event
 /// handlers of Algorithms 2 and 3.
 ///
@@ -97,7 +110,7 @@ struct PendingEntry {
 /// `r` in the C-DAG; ancestors are lower ranks and descendants higher
 /// ranks. Mapping physical nodes to ranks is the overlay's job
 /// (`flexcast_overlay::CDagOrder`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FlexCastGroup {
     g: GroupId,
     n: u16,
@@ -161,6 +174,31 @@ pub struct FlexCastGroup {
     /// Advertisement / suppression counters.
     sup: SuppressionStats,
 }
+
+wire_struct!(FlexCastGroup {
+    g,
+    n,
+    hst,
+    delivered,
+    queues,
+    pending,
+    pend_notif,
+    my_notifs,
+    open_deps,
+    clean,
+    blocked_by,
+    client_backlog,
+    vert_cursor,
+    edge_cursor,
+    delivered_count,
+    advert_stride,
+    advert_mark,
+    advert_sent_clients,
+    advert_sent_edges,
+    advertised_clients,
+    advertised_edges,
+    sup,
+});
 
 impl FlexCastGroup {
     /// Creates the engine for group `g` in a C-DAG of `n` groups.
@@ -1585,6 +1623,38 @@ mod tests {
     /// Snapshot/restore: a restored engine is interchangeable with the
     /// original — same observable state, identical outputs on the same
     /// subsequent inputs.
+    /// Group C's snapshot after one delivered message, with adverts on.
+    fn mid_protocol_snapshot() -> Vec<u8> {
+        let mut a = FlexCastGroup::new(A, 3);
+        let mut c = FlexCastGroup::new(C, 3);
+        c.set_advert_stride(1);
+        let mut out = Vec::new();
+        a.on_client(msg(1, &[0, 2]), &mut out);
+        let to_c = sends(&out).into_iter().find(|(t, _)| *t == C).unwrap().1;
+        c.on_packet(A, to_c, &mut Vec::new());
+        c.snapshot().unwrap()
+    }
+
+    proptest::proptest! {
+        /// Snapshot bytes from a peer never panic `restore`: arbitrary
+        /// input and a real snapshot with one byte flipped either decode
+        /// or fail, and every strict prefix of a snapshot fails.
+        #[test]
+        fn prop_restore_never_panics(
+            garbage in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..128),
+            cut in 0usize..10_000,
+            at in 0usize..10_000,
+            x in 1u8..=255
+        ) {
+            let _ = FlexCastGroup::restore(&garbage);
+            let bytes = mid_protocol_snapshot();
+            proptest::prop_assert!(FlexCastGroup::restore(&bytes[..cut % bytes.len()]).is_err());
+            let mut flipped = bytes.clone();
+            flipped[at % bytes.len()] ^= x;
+            let _ = FlexCastGroup::restore(&flipped);
+        }
+    }
+
     #[test]
     fn snapshot_restore_roundtrips_mid_protocol() {
         let mut a = FlexCastGroup::new(A, 3);

@@ -10,13 +10,13 @@
 //! encode (transitive) delivery dependencies.
 
 use flexcast_types::{DestSet, GroupId, Message, MsgId};
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use flexcast_wire::{invalid, wire_struct, Reader, Sink, Wire};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A history vertex: a message's identity and destinations.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MsgRef {
     /// The message's globally unique id.
     pub id: MsgId,
@@ -41,6 +41,26 @@ impl MsgRef {
     }
 }
 
+/// Like a [`Message`], a vertex from a peer must have a destination:
+/// decoding rejects an empty set rather than admitting a vertex whose
+/// `lca()` panics.
+impl Wire for MsgRef {
+    #[inline]
+    fn encode<S: Sink>(&self, out: &mut S) {
+        self.id.encode(out);
+        self.dst.encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> flexcast_types::Result<Self> {
+        let id = MsgId::decode(r)?;
+        let dst = DestSet::decode(r)?;
+        if dst.is_empty() {
+            return Err(invalid("history vertex has an empty destination set"));
+        }
+        Ok(MsgRef { id, dst })
+    }
+}
+
 /// A history order edge with its provenance: which group created it and
 /// at which position in that group's creation sequence.
 ///
@@ -51,7 +71,7 @@ impl MsgRef {
 /// "which edges has this group processed?" compresses to one watermark
 /// per creator (the same closed-prefix trick the vertex tombstones use)
 /// — the representation behind protocol-level delta suppression.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TaggedEdge {
     /// The group whose delivery created this edge.
     pub creator: GroupId,
@@ -63,16 +83,25 @@ pub struct TaggedEdge {
     pub after: MsgId,
 }
 
+wire_struct!(TaggedEdge {
+    creator,
+    idx,
+    before,
+    after
+});
+
 /// The portion of a history shipped inside one packet (`diff-hst`, Alg. 3
 /// line 11): only the vertices and edges the receiver has not seen from
 /// this sender yet.
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct HistoryDelta {
     /// New vertices.
     pub verts: Vec<MsgRef>,
     /// New order edges, each carrying its creation provenance.
     pub edges: Vec<TaggedEdge>,
 }
+
+wire_struct!(HistoryDelta { verts, edges });
 
 impl HistoryDelta {
     /// An empty delta.
@@ -96,7 +125,7 @@ impl HistoryDelta {
 /// At large group counts a receiver hears the same entry from up to
 /// `n − 1` ancestors, so the duplicate share is the direct measure of
 /// what protocol-level delta suppression can save.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct MergeStats {
     /// Delta vertices received by `merge`.
     pub verts_in: u64,
@@ -107,6 +136,13 @@ pub struct MergeStats {
     /// Delta edges rejected as already processed.
     pub edges_dup: u64,
 }
+
+wire_struct!(MergeStats {
+    verts_in,
+    verts_dup,
+    edges_in,
+    edges_dup
+});
 
 impl MergeStats {
     /// Total entries received.
@@ -170,7 +206,7 @@ impl Hasher for FxHasher {
 
 /// The stored half of a [`History`]: the insertion logs and the
 /// watermarks. This is everything a snapshot carries.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 struct Logs {
     last_delivered: Option<MsgId>,
     /// Every retained vertex and every retained edge, in admission order.
@@ -221,6 +257,18 @@ struct Logs {
     /// Merge-path duplicate accounting.
     merge_stats: MergeStats,
 }
+
+wire_struct!(Logs {
+    last_delivered,
+    vert_log,
+    edge_log,
+    seen_watermark,
+    seen_residual,
+    edge_seen,
+    next_edge_idx,
+    admitted,
+    merge_stats,
+});
 
 /// The derived half of a [`History`]: lookup and adjacency over the logs,
 /// addressed by *slot* (a position in `vert_log`) and edge index (a
@@ -388,22 +436,16 @@ pub struct History {
     index: Index,
 }
 
-impl Serialize for History {
-    fn serialize<S>(&self, serializer: S) -> Result<S::Ok, S::Error>
-    where
-        S: Serializer,
-    {
-        self.logs.serialize(serializer)
+/// A history travels as its logs alone; decoding rebuilds the index and
+/// rejects logs no history could have written.
+impl Wire for History {
+    fn encode<S: Sink>(&self, out: &mut S) {
+        self.logs.encode(out);
     }
-}
 
-impl<'de> Deserialize<'de> for History {
-    fn deserialize<D>(deserializer: D) -> Result<Self, D::Error>
-    where
-        D: Deserializer<'de>,
-    {
-        let logs = Logs::deserialize(deserializer)?;
-        let index = Index::build(&logs).map_err(serde::de::Error::custom)?;
+    fn decode(r: &mut Reader<'_>) -> flexcast_types::Result<Self> {
+        let logs = Logs::decode(r)?;
+        let index = Index::build(&logs).map_err(invalid)?;
         Ok(History { logs, index })
     }
 }
@@ -1266,5 +1308,17 @@ mod tests {
         twice.vert_log.push(twice.vert_log[0]);
         let bytes = flexcast_wire::to_bytes(&twice).unwrap();
         assert!(flexcast_wire::from_bytes::<History>(&bytes).is_err());
+    }
+
+    /// A vertex with no destination would panic in `lca()`; decoding
+    /// rejects it.
+    #[test]
+    fn empty_destination_vertex_is_a_decode_error() {
+        let mut bytes = flexcast_wire::to_bytes(&vref(1, &[0, 1])).unwrap();
+        // Sender and seq take one byte each; byte 2 is the only nonzero
+        // destination word.
+        assert_eq!(bytes[2], 0b11);
+        bytes[2] = 0;
+        assert!(flexcast_wire::from_bytes::<MsgRef>(&bytes).is_err());
     }
 }

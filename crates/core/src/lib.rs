@@ -73,3 +73,66 @@ pub mod packet;
 pub use engine::{FlexCastGroup, Output, SuppressionStats, FLUSH_PAYLOAD};
 pub use history::{History, HistoryDelta, MergeStats, MsgRef, TaggedEdge};
 pub use packet::Packet;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Payload, Watermarks};
+    use flexcast_wire::{from_bytes, to_bytes};
+
+    fn packets() -> Vec<Packet> {
+        let mref = MsgRef {
+            id: MsgId::new(ClientId(1), 2),
+            dst: DestSet::from_iter([GroupId(0), GroupId(1)]),
+        };
+        let hist = HistoryDelta {
+            verts: vec![mref],
+            edges: vec![TaggedEdge {
+                creator: GroupId(0),
+                idx: 0,
+                before: mref.id,
+                after: MsgId::new(ClientId(1), 3),
+            }],
+        };
+        vec![
+            Packet::Msg {
+                msg: Message::new(mref.id, mref.dst, Payload::zeroes(3)).unwrap(),
+                notif_pairs: vec![(GroupId(0), GroupId(1))],
+                hist: hist.clone(),
+            },
+            Packet::Ack {
+                mref,
+                via: GroupId(1),
+                notif_pairs: vec![],
+                hist,
+            },
+            Packet::Notif {
+                mref,
+                hist: HistoryDelta::empty(),
+            },
+            Packet::Advert {
+                wm: Watermarks::default(),
+            },
+        ]
+    }
+
+    /// Every `Packet` variant survives the wire, and its first byte is its
+    /// declaration index.
+    #[test]
+    fn enums_roundtrip() {
+        for (i, p) in packets().into_iter().enumerate() {
+            let bytes = to_bytes(&p).unwrap();
+            assert_eq!(bytes[0] as usize, i);
+            assert_eq!(from_bytes::<Packet>(&bytes).unwrap(), p);
+        }
+    }
+
+    #[test]
+    fn unknown_variant_rejected() {
+        let mut bytes = to_bytes(&packets()[3]).unwrap();
+        for v in [4u8, 9, 0x7f] {
+            bytes[0] = v;
+            assert!(from_bytes::<Packet>(&bytes).is_err(), "variant {v}");
+        }
+    }
+}

@@ -1,9 +1,8 @@
 //! Inter-group packets (the three message kinds of Algorithm 2).
 
-use crate::history::{HistoryDelta, MsgRef, TaggedEdge};
-use flexcast_types::{GroupId, Message, MsgId, Watermarks};
-use flexcast_wire::size_u128;
-use serde::{Deserialize, Serialize};
+use crate::history::{HistoryDelta, MsgRef};
+use flexcast_types::{GroupId, Message, Watermarks};
+use flexcast_wire::{unknown_variant, Reader, Sink, Wire};
 
 /// A `(notifier, notified)` pair: `notifier` sent a notif about a message
 /// to `notified`, so destinations must collect an ack from `notified`
@@ -23,7 +22,7 @@ pub type NotifPair = (GroupId, GroupId);
 ///
 /// Every packet carries a [`HistoryDelta`]: the part of the sender's
 /// history the receiver has not yet seen from this sender (`diff-hst`).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum Packet {
     /// An application message forwarded by its lca to another destination
     /// (`[msg, m, history]`).
@@ -73,85 +72,20 @@ pub enum Packet {
     },
 }
 
-/// Varint size of an unsigned value under the workspace wire format.
-#[inline]
-fn vs(v: u64) -> usize {
-    size_u128(v as u128)
-}
-
-/// Encoded size of a [`MsgId`]: two varints (sender, seq).
-#[inline]
-fn msg_id_size(id: MsgId) -> usize {
-    vs(id.sender.0 as u64) + vs(id.seq as u64)
-}
-
-/// Encoded size of a [`MsgRef`]: the id followed by the destination
-/// set's fixed-arity tuple of words (tuples carry no framing).
-#[inline]
-fn msg_ref_size(r: &MsgRef) -> usize {
-    let mut n = msg_id_size(r.id);
-    for w in r.dst.words() {
-        n += vs(w);
-    }
-    n
-}
-
-/// Encoded size of a [`TaggedEdge`]: creator, idx, and both endpoints.
-#[inline]
-fn edge_size(e: &TaggedEdge) -> usize {
-    vs(e.creator.0 as u64) + vs(e.idx as u64) + msg_id_size(e.before) + msg_id_size(e.after)
-}
-
-/// Encoded size of a [`HistoryDelta`]: two length-prefixed sequences.
-fn delta_size(h: &HistoryDelta) -> usize {
-    let mut n = vs(h.verts.len() as u64) + vs(h.edges.len() as u64);
-    for v in &h.verts {
-        n += msg_ref_size(v);
-    }
-    for e in &h.edges {
-        n += edge_size(e);
-    }
-    n
-}
-
-/// Encoded size of a notif-pair list: length prefix plus two varints per
-/// pair (tuples are concatenated fields).
-fn notif_pairs_size(ps: &[NotifPair]) -> usize {
-    let mut n = vs(ps.len() as u64);
-    for (a, b) in ps {
-        n += vs(a.0 as u64) + vs(b.0 as u64);
-    }
-    n
-}
-
-impl Packet {
-    /// Exact encoded size in bytes under the workspace wire format,
-    /// without serializing.
-    ///
-    /// Mirrors `flexcast_wire`'s encoding rules (LEB128 varints for
-    /// integers, length-prefixed sequences and bytes, variant-index
-    /// prefix for enums, no framing for tuples/structs) with straight
-    /// field walks. Traffic accounting calls this once per send *and*
-    /// once per receive, and every packet drags a [`HistoryDelta`] —
-    /// the generic `encoded_len` serde walk was a measurable slice of
-    /// large-world runs. `packets_roundtrip_on_the_wire` and the
-    /// randomized `encoded_size_matches_encoded_len` test pin this
-    /// function to the real codec.
-    pub fn encoded_size(&self) -> usize {
+/// Variant index in declaration order, then the fields in order.
+impl Wire for Packet {
+    #[inline]
+    fn encode<S: Sink>(&self, out: &mut S) {
         match self {
             Packet::Msg {
                 msg,
                 notif_pairs,
                 hist,
             } => {
-                let payload = msg.payload.as_slice();
-                vs(0)
-                    + msg_id_size(msg.id)
-                    + msg.dst.words().map(vs).sum::<usize>()
-                    + vs(payload.len() as u64)
-                    + payload.len()
-                    + notif_pairs_size(notif_pairs)
-                    + delta_size(hist)
+                out.put_varint(0);
+                msg.encode(out);
+                notif_pairs.encode(out);
+                hist.encode(out);
             }
             Packet::Ack {
                 mref,
@@ -159,26 +93,50 @@ impl Packet {
                 notif_pairs,
                 hist,
             } => {
-                vs(1)
-                    + msg_ref_size(mref)
-                    + vs(via.0 as u64)
-                    + notif_pairs_size(notif_pairs)
-                    + delta_size(hist)
+                out.put_varint(1);
+                mref.encode(out);
+                via.encode(out);
+                notif_pairs.encode(out);
+                hist.encode(out);
             }
-            Packet::Notif { mref, hist } => vs(2) + msg_ref_size(mref) + delta_size(hist),
+            Packet::Notif { mref, hist } => {
+                out.put_varint(2);
+                mref.encode(out);
+                hist.encode(out);
+            }
             Packet::Advert { wm } => {
-                let mut n = vs(3) + vs(wm.clients.len() as u64) + vs(wm.edges.len() as u64);
-                for &(c, w) in &wm.clients {
-                    n += vs(c.0 as u64) + vs(w as u64);
-                }
-                for &(g, w) in &wm.edges {
-                    n += vs(g.0 as u64) + vs(w as u64);
-                }
-                n
+                out.put_varint(3);
+                wm.encode(out);
             }
         }
     }
 
+    fn decode(r: &mut Reader<'_>) -> flexcast_types::Result<Self> {
+        Ok(match r.varint()? {
+            0 => Packet::Msg {
+                msg: Wire::decode(r)?,
+                notif_pairs: Wire::decode(r)?,
+                hist: Wire::decode(r)?,
+            },
+            1 => Packet::Ack {
+                mref: Wire::decode(r)?,
+                via: Wire::decode(r)?,
+                notif_pairs: Wire::decode(r)?,
+                hist: Wire::decode(r)?,
+            },
+            2 => Packet::Notif {
+                mref: Wire::decode(r)?,
+                hist: Wire::decode(r)?,
+            },
+            3 => Packet::Advert {
+                wm: Wire::decode(r)?,
+            },
+            v => return Err(unknown_variant("Packet", v)),
+        })
+    }
+}
+
+impl Packet {
     /// The history delta carried by this packet, if any (advertisements
     /// carry none).
     pub fn hist(&self) -> Option<&HistoryDelta> {
@@ -281,5 +239,47 @@ mod tests {
             bytes.len(),
             "encoded_len matches the real encoding for adverts"
         );
+    }
+
+    fn sample_bytes() -> Vec<u8> {
+        let msg = Packet::Msg {
+            msg: Message::new(mref().id, mref().dst, Payload::zeroes(5)).unwrap(),
+            notif_pairs: vec![(GroupId(0), GroupId(1))],
+            hist: HistoryDelta {
+                verts: vec![mref()],
+                edges: vec![crate::TaggedEdge {
+                    creator: GroupId(0),
+                    idx: 7,
+                    before: mref().id,
+                    after: MsgId::new(ClientId(1), 3),
+                }],
+            },
+        };
+        flexcast_wire::to_bytes(&msg).unwrap()
+    }
+
+    proptest::proptest! {
+        /// Peer bytes never panic the decoder: arbitrary input either
+        /// decodes or is an error.
+        #[test]
+        fn prop_garbage_packets_never_panic(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96)
+        ) {
+            let _ = flexcast_wire::from_bytes::<Packet>(&bytes);
+        }
+
+        /// Every strict prefix of a valid packet is an error, and a
+        /// single flipped byte decodes or fails without panicking.
+        #[test]
+        fn prop_truncated_or_flipped_packets_fail_cleanly(
+            cut in 0usize..1000, at in 0usize..1000, x in 1u8..=255
+        ) {
+            let bytes = sample_bytes();
+            let cut = cut % bytes.len();
+            proptest::prop_assert!(flexcast_wire::from_bytes::<Packet>(&bytes[..cut]).is_err());
+            let mut flipped = bytes.clone();
+            flipped[at % bytes.len()] ^= x;
+            let _ = flexcast_wire::from_bytes::<Packet>(&flipped);
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! TPC-C transaction types and payload encoding.
 
 use flexcast_types::{DestSet, GroupId, Payload};
-use serde::{Deserialize, Serialize};
+use flexcast_wire::{unknown_variant, wire_struct, Reader, Sink, Wire};
 
 /// The five TPC-C transaction profiles.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum TxnType {
     /// New-order: 5–15 order lines, each with a 2 % chance of a remote
     /// warehouse (TPC-C §2.4). 45 % of the mix.
@@ -20,6 +20,24 @@ pub enum TxnType {
     StockLevel,
 }
 
+/// The variant index in declaration order.
+impl Wire for TxnType {
+    fn encode<S: Sink>(&self, out: &mut S) {
+        out.put_varint(*self as u64);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> flexcast_types::Result<Self> {
+        Ok(match r.varint()? {
+            0 => TxnType::NewOrder,
+            1 => TxnType::Payment,
+            2 => TxnType::OrderStatus,
+            3 => TxnType::Delivery,
+            4 => TxnType::StockLevel,
+            v => return Err(unknown_variant("TxnType", v)),
+        })
+    }
+}
+
 impl TxnType {
     /// True for the three profiles that always stay in one warehouse.
     pub fn is_always_local(self) -> bool {
@@ -31,7 +49,7 @@ impl TxnType {
 }
 
 /// One order line of a new-order transaction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct OrderLine {
     /// Item identifier (1..=100000 in TPC-C).
     pub item_id: u32,
@@ -41,13 +59,19 @@ pub struct OrderLine {
     pub quantity: u8,
 }
 
+wire_struct!(OrderLine {
+    item_id,
+    supply_warehouse,
+    quantity
+});
+
 /// A gTPC-C transaction: the profile, the warehouses it touches, and the
 /// business fields that make up the multicast payload.
 ///
 /// The payload bytes (via [`Transaction::payload`]) are what the atomic
 /// multicast protocols carry; their size feeds the traffic accounting of
 /// Figure 8.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Transaction {
     /// Transaction profile.
     pub kind: TxnType,
@@ -64,6 +88,16 @@ pub struct Transaction {
     /// Payment amount in cents (payment only; 0 otherwise).
     pub amount: u32,
 }
+
+wire_struct!(Transaction {
+    kind,
+    home,
+    warehouses,
+    district,
+    customer,
+    lines,
+    amount,
+});
 
 impl Transaction {
     /// True if the transaction touches at least two warehouses — a

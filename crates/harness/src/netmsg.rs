@@ -3,17 +3,19 @@
 use crate::replicated::ReplCmd;
 use flexcast_baselines::{HierPacket, SkeenPacket};
 use flexcast_core::Packet as FlexPacket;
+use flexcast_smr::Ballot;
 use flexcast_smr::{BleMsg, PaxosMsg};
 use flexcast_types::{Message, MsgId};
-use serde::{Deserialize, Serialize};
+use flexcast_wire::{Counter, Sink, Wire};
 
 /// Everything that can travel between simulated processes.
 ///
-/// The enum is serde-serializable so [`NetMsg::wire_size`] can charge each
-/// message its real encoded size — that is what Figure 8's traffic
-/// accounting measures. (The simulator itself passes values in memory;
-/// only sizes are computed.)
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// [`NetMsg::encode`] writes each message in the workspace wire format,
+/// so [`NetMsg::wire_size`] charges it its real encoded size — that is
+/// what Figure 8's traffic accounting measures. (The simulator itself
+/// passes values in memory; only sizes are computed, and nothing decodes
+/// a `NetMsg`.)
+#[derive(Clone, Debug)]
 pub enum NetMsg {
     /// A client's multicast request arriving at a protocol entry point.
     /// `reply_to` is the client's simulator process id.
@@ -69,25 +71,93 @@ pub enum NetMsg {
 }
 
 impl NetMsg {
-    /// Exact encoded size in bytes under the workspace wire format.
+    /// Writes the message in the workspace wire format: the variant index
+    /// in declaration order, then the fields in order.
     ///
-    /// The two FlexCast variants use [`FlexPacket::encoded_size`]'s
-    /// direct field walk: they carry history deltas and are charged at
-    /// every send and receive, so the generic serde walk was a
-    /// measurable slice of large-world runs. Every other variant is
-    /// rare or small and takes the generic path. The variant indices
-    /// (`Flex` = 1, `GroupMsg` = 6) are pinned against the real codec
-    /// by `wire_size_matches_encoded_len_on_random_packets`.
-    pub fn wire_size(&self) -> usize {
+    /// The SMR and baseline packets are written here through their public
+    /// fields: `flexcast-smr` and `flexcast-baselines` do not depend on
+    /// `flexcast-wire`, and only this simulator envelope ever encodes
+    /// them.
+    pub fn encode<S: Sink>(&self, out: &mut S) {
         match self {
-            NetMsg::Flex(pkt) => flexcast_wire::size_u128(1) + pkt.encoded_size(),
-            NetMsg::GroupMsg { seq, pkt } => {
-                flexcast_wire::size_u128(6)
-                    + flexcast_wire::size_u128(*seq as u128)
-                    + pkt.encoded_size()
+            NetMsg::Client { msg, reply_to } => {
+                out.put_varint(0);
+                msg.encode(out);
+                reply_to.encode(out);
             }
-            _ => flexcast_wire::encoded_len(self).expect("net messages always encode"),
+            NetMsg::Flex(pkt) => {
+                out.put_varint(1);
+                pkt.encode(out);
+            }
+            NetMsg::Skeen(p) => {
+                out.put_varint(2);
+                match p {
+                    SkeenPacket::Msg(m) => {
+                        out.put_varint(0);
+                        m.encode(out);
+                    }
+                    SkeenPacket::Ts { id, ts } => {
+                        out.put_varint(1);
+                        id.encode(out);
+                        ts.encode(out);
+                    }
+                }
+            }
+            NetMsg::Hier(HierPacket(m)) => {
+                out.put_varint(3);
+                m.encode(out);
+            }
+            NetMsg::Reply { id } => {
+                out.put_varint(4);
+                id.encode(out);
+            }
+            NetMsg::Repl(m) => {
+                out.put_varint(5);
+                encode_paxos(m, out);
+            }
+            NetMsg::GroupMsg { seq, pkt } => {
+                out.put_varint(6);
+                seq.encode(out);
+                pkt.encode(out);
+            }
+            NetMsg::Ble(m) => {
+                out.put_varint(7);
+                match m {
+                    BleMsg::HeartbeatRequest { round } => {
+                        out.put_varint(0);
+                        round.encode(out);
+                    }
+                    BleMsg::HeartbeatReply {
+                        round,
+                        ballot,
+                        candidate,
+                    } => {
+                        out.put_varint(1);
+                        round.encode(out);
+                        encode_ballot(ballot, out);
+                        candidate.encode(out);
+                    }
+                }
+            }
+            NetMsg::SnapReq { have } => {
+                out.put_varint(8);
+                have.encode(out);
+            }
+            NetMsg::Snapshot { through, state } => {
+                out.put_varint(9);
+                through.encode(out);
+                state.encode(out);
+            }
         }
+    }
+
+    /// Exact encoded size in bytes: the [`NetMsg::encode`] walk into a
+    /// byte counter. Traffic accounting calls this at every send and
+    /// receive.
+    pub fn wire_size(&self) -> usize {
+        let mut n = Counter::default();
+        self.encode(&mut n);
+        n.0
     }
 
     /// True for messages that carry an application payload (the paper's
@@ -104,6 +174,50 @@ impl NetMsg {
             NetMsg::Ble(_) => false,
             NetMsg::SnapReq { .. } => false,
             NetMsg::Snapshot { .. } => false,
+        }
+    }
+}
+
+fn encode_ballot<S: Sink>(b: &Ballot, out: &mut S) {
+    b.round.encode(out);
+    b.owner.encode(out);
+}
+
+fn encode_paxos<S: Sink>(m: &PaxosMsg<ReplCmd>, out: &mut S) {
+    match m {
+        PaxosMsg::Prepare { ballot } => {
+            out.put_varint(0);
+            encode_ballot(ballot, out);
+        }
+        PaxosMsg::Promise { ballot, accepted } => {
+            out.put_varint(1);
+            encode_ballot(ballot, out);
+            out.put_varint(accepted.len() as u64);
+            for (slot, b, cmd) in accepted {
+                slot.encode(out);
+                encode_ballot(b, out);
+                cmd.encode(out);
+            }
+        }
+        PaxosMsg::Accept { ballot, slot, cmd } => {
+            out.put_varint(2);
+            encode_ballot(ballot, out);
+            slot.encode(out);
+            cmd.encode(out);
+        }
+        PaxosMsg::Accepted { ballot, slot } => {
+            out.put_varint(3);
+            encode_ballot(ballot, out);
+            slot.encode(out);
+        }
+        PaxosMsg::Learn { slot, cmd } => {
+            out.put_varint(4);
+            slot.encode(out);
+            cmd.encode(out);
+        }
+        PaxosMsg::LearnReq { from_slot } => {
+            out.put_varint(5);
+            from_slot.encode(out);
         }
     }
 }
@@ -136,10 +250,9 @@ mod tests {
         assert!(NetMsg::Reply { id: msg().id }.wire_size() < 16);
     }
 
-    /// Pins the hand-rolled size walk (and the hard-coded `Flex` /
-    /// `GroupMsg` variant indices) to the real codec across randomized
-    /// packets: any drift between `encoded_size` and the serializer is a
-    /// traffic-accounting bug.
+    /// The counted size and the written bytes come from one walk; this
+    /// checks the two sinks agree across randomized packets with
+    /// multi-byte varints, long deltas and payloads.
     #[test]
     fn wire_size_matches_encoded_len_on_random_packets() {
         use flexcast_core::history::{HistoryDelta, MsgRef, TaggedEdge};
@@ -212,10 +325,12 @@ mod tests {
                 NetMsg::Flex(pkt.clone()),
                 NetMsg::GroupMsg { seq: next(), pkt },
             ] {
+                let mut bytes = Vec::new();
+                m.encode(&mut bytes);
                 assert_eq!(
                     m.wire_size(),
-                    flexcast_wire::encoded_len(&m).expect("encodes"),
-                    "fast size diverged from the codec at round {round}"
+                    bytes.len(),
+                    "counted size diverged from the bytes at round {round}"
                 );
             }
         }

@@ -53,14 +53,14 @@ use flexcast_sim::{Actor, Ctx, LinkModel, Observation, ProcessId, SimTime, Summa
 use flexcast_smr::{BallotLeaderElection, BleOutput, GroupEffect, ReplicatedGroup};
 use flexcast_telemetry::{MetricsSnapshot, Telemetry};
 use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId};
+use flexcast_wire::{unknown_variant, wire_struct, Reader, Sink, Wire};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A command proposed to (and committed by) a group's Paxos log, and —
 /// re-used as the effect payload — an action the leader emits.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum ReplCmd {
     /// Input: a client multicast (destinations in node space). As a
     /// leader-emitted effect: the engine delivered this message.
@@ -85,12 +85,49 @@ pub enum ReplCmd {
     },
 }
 
+/// Variant index in declaration order, then the fields in order.
+impl Wire for ReplCmd {
+    fn encode<S: Sink>(&self, out: &mut S) {
+        match self {
+            ReplCmd::Client(m) => {
+                out.put_varint(0);
+                m.encode(out);
+            }
+            ReplCmd::Peer { peer, seq, pkt } => {
+                out.put_varint(1);
+                peer.encode(out);
+                seq.encode(out);
+                pkt.encode(out);
+            }
+            ReplCmd::Noop { proposer } => {
+                out.put_varint(2);
+                proposer.encode(out);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> flexcast_types::Result<Self> {
+        Ok(match r.varint()? {
+            0 => ReplCmd::Client(Wire::decode(r)?),
+            1 => ReplCmd::Peer {
+                peer: Wire::decode(r)?,
+                seq: Wire::decode(r)?,
+                pkt: Wire::decode(r)?,
+            },
+            2 => ReplCmd::Noop {
+                proposer: Wire::decode(r)?,
+            },
+            v => return Err(unknown_variant("ReplCmd", v)),
+        })
+    }
+}
+
 /// A serialized [`ReplEngine`]: what one replica ships to a lagging
 /// sibling during snapshot catch-up. The engine itself travels as its own
 /// [`FlexCastGroup::snapshot`] bytes; the C-DAG order is *not* part of the
 /// snapshot — it is static per run, so the receiver re-supplies its own
 /// copy at restore.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ReplSnapshot {
     /// [`FlexCastGroup::snapshot`] of the wrapped engine.
     pub engine: Vec<u8>,
@@ -107,6 +144,16 @@ pub struct ReplSnapshot {
     /// Delivery log in commit order.
     pub log: Vec<MsgId>,
 }
+
+wire_struct!(ReplSnapshot {
+    engine,
+    applied_clients,
+    next_in,
+    held,
+    next_out,
+    outbox,
+    log,
+});
 
 /// The replicated state machine: a FlexCast engine plus the dedup and
 /// FIFO-reconstruction bookkeeping described in the module docs. All

@@ -1,20 +1,30 @@
 //! Per-node TCP runtime.
 
 use crate::framing::{read_frame, write_frame};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use flexcast_types::{Error, GroupId, Result};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use flexcast_wire::wire_struct;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// The handshake/header frame identifying the sender of a connection.
-#[derive(Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 struct Hello {
     from: u16,
+}
+
+wire_struct!(Hello { from });
+
+/// Locks `m`, recovering the guard if a thread panicked while holding it.
+/// Every mutex here guards a registry (peer channels, thread handles,
+/// stream clones) that each holder changes by one push, insert or clear,
+/// so a panicking holder cannot leave it half-updated; recovering keeps
+/// `send` working and lets `Drop` still shut every thread down.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A received frame: the sending node and the opaque body.
@@ -59,7 +69,7 @@ impl NodeRuntime {
     pub fn bind(id: GroupId, addr: SocketAddr) -> Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let (in_tx, in_rx) = unbounded::<Incoming>();
+        let (in_tx, in_rx) = channel::<Incoming>();
         let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
@@ -78,13 +88,13 @@ impl NodeRuntime {
                 }
                 let Ok(stream) = stream else { continue };
                 if let Ok(clone) = stream.try_clone() {
-                    conn_registry.lock().push(clone);
+                    lock(&conn_registry).push(clone);
                 }
                 let tx = acceptor_tx.clone();
                 let handle = std::thread::spawn(move || {
                     let _ = reader_loop(stream, tx);
                 });
-                reader_handles.lock().push(handle);
+                lock(&reader_handles).push(handle);
             }
         });
 
@@ -122,10 +132,10 @@ impl NodeRuntime {
         })?;
         write_frame(&mut stream, &hello)?;
 
-        let (tx, rx) = unbounded::<Vec<u8>>();
-        self.outgoing.lock().insert(peer, tx);
+        let (tx, rx) = channel::<Vec<u8>>();
+        lock(&self.outgoing).insert(peer, tx);
         if let Ok(clone) = stream.try_clone() {
-            self.conns.lock().push(clone);
+            lock(&self.conns).push(clone);
         }
         let writer = std::thread::spawn(move || {
             for body in rx.iter() {
@@ -141,7 +151,7 @@ impl NodeRuntime {
     /// Queues a frame to `peer` (must be connected). Frames to one peer
     /// are delivered in send order.
     pub fn send(&self, peer: GroupId, body: Vec<u8>) -> Result<()> {
-        let guard = self.outgoing.lock();
+        let guard = lock(&self.outgoing);
         let tx = guard
             .get(&peer)
             .ok_or_else(|| Error::Config(format!("no connection to {peer}")))?;
@@ -165,10 +175,10 @@ impl Drop for NodeRuntime {
         self.shutdown
             .store(true, std::sync::atomic::Ordering::Relaxed);
         // Close every writer channel: writer threads drain and exit.
-        self.outgoing.lock().clear();
+        lock(&self.outgoing).clear();
         // Shut down every tracked connection: readers blocked in
         // `read_frame` (and writers mid-write) return immediately.
-        for conn in self.conns.lock().drain(..) {
+        for conn in lock(&self.conns).drain(..) {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
         // Nudge the acceptor out of `accept` by dialing ourselves; the
@@ -187,12 +197,12 @@ impl Drop for NodeRuntime {
         // The acceptor may have accepted one last connection concurrently
         // with the first drain (registered after we shut the others down);
         // close any such stragglers before joining readers.
-        for conn in self.conns.lock().drain(..) {
+        for conn in lock(&self.conns).drain(..) {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
         // The acceptor has exited (or been abandoned): no new readers can
         // appear, so draining the list now joins every reader there is.
-        let readers = std::mem::take(&mut *self.readers.lock());
+        let readers = std::mem::take(&mut *lock(&self.readers));
         for reader in readers {
             let _ = reader.join();
         }
@@ -272,6 +282,19 @@ mod tests {
         assert!(b.recv_timeout(Duration::from_secs(5)).is_some());
         drop(b); // inbound side first: readers + acceptor
         drop(a); // outbound side: writer + acceptor
+    }
+
+    /// The hello frame's bytes, recorded before the codec was rewritten
+    /// around the `Wire` trait.
+    #[test]
+    fn hello_matches_recorded_bytes() {
+        for (from, bytes) in [(7u16, vec![0x07]), (300, vec![0xac, 0x02])] {
+            assert_eq!(flexcast_wire::to_bytes(&Hello { from }).unwrap(), bytes);
+            assert_eq!(
+                flexcast_wire::from_bytes::<Hello>(&bytes).unwrap(),
+                Hello { from }
+            );
+        }
     }
 
     #[test]

@@ -44,10 +44,9 @@
 //! majority.
 
 use crate::paxos::Ballot;
-use serde::{Deserialize, Serialize};
 
 /// Heartbeat traffic between the BLE instances of one replica group.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BleMsg {
     /// Round `round` opened at the sender: please reply with your ballot.
     HeartbeatRequest {

@@ -17,13 +17,10 @@
 //! Commands apply in slot order; [`Replica::take_committed`] hands the
 //! application a gap-free committed prefix.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A Paxos ballot: `(round, replica id)`, ordered lexicographically.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Ballot {
     /// Election round.
     pub round: u64,
@@ -37,7 +34,7 @@ impl Ballot {
 }
 
 /// Messages exchanged between replicas of one group.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum PaxosMsg<C> {
     /// Phase-1a: candidate asks for promises.
     Prepare {

@@ -7,7 +7,6 @@
 //! bitset over group ranks, which makes all of those O(1)/O(words).
 
 use crate::{Error, GroupId, Result};
-use serde::{Deserialize, Serialize};
 
 /// Maximum number of groups supported by [`DestSet`].
 ///
@@ -40,45 +39,6 @@ const WORDS: usize = MAX_GROUPS / 64;
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct DestSet([u64; WORDS]);
-
-// Wire format: a fixed 8-tuple of words, least-significant first (the
-// vendored serde predates const-generic array impls, so spelled out).
-impl Serialize for DestSet {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> std::result::Result<S::Ok, S::Error> {
-        use serde::ser::SerializeTuple;
-        let mut t = s.serialize_tuple(WORDS)?;
-        for w in &self.0 {
-            t.serialize_element(w)?;
-        }
-        t.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for DestSet {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> std::result::Result<Self, D::Error> {
-        struct WordsVisitor;
-        impl<'de> serde::de::Visitor<'de> for WordsVisitor {
-            type Value = DestSet;
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                write!(f, "{WORDS} destination-set words")
-            }
-            fn visit_seq<A: serde::de::SeqAccess<'de>>(
-                self,
-                mut seq: A,
-            ) -> std::result::Result<DestSet, A::Error> {
-                use serde::de::Error as _;
-                let mut words = [0u64; WORDS];
-                for w in words.iter_mut() {
-                    *w = seq
-                        .next_element()?
-                        .ok_or_else(|| A::Error::custom("truncated destination set"))?;
-                }
-                Ok(DestSet(words))
-            }
-        }
-        d.deserialize_tuple(WORDS, WordsVisitor)
-    }
-}
 
 impl DestSet {
     /// The empty destination set.

@@ -12,8 +12,8 @@
 //! * [`Watermarks`] — the per-client / per-creator watermark advertisement
 //!   groups send upstream for protocol-level history-delta suppression.
 //!
-//! All types are plain data: they serialize with `serde` (the wire format
-//! lives in `flexcast-wire`) and carry no interior mutability, so protocol
+//! All types are plain data with public fields (their wire encoding lives
+//! in `flexcast-wire`) and carry no interior mutability, so protocol
 //! engines built on them stay deterministic.
 
 #![forbid(unsafe_code)]
@@ -28,8 +28,6 @@ pub use dest::{DestSet, MAX_GROUPS};
 pub use error::{Error, Result};
 pub use message::{ClientId, Message, MsgId, Payload, Watermarks};
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a server group.
 ///
 /// Groups are the unit of addressing in atomic multicast: a message is
@@ -40,7 +38,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// `GroupId` is a dense index in `0..MAX_GROUPS`; see [`DestSet`] for the
 /// compact destination-set representation this enables.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupId(pub u16);
 
 impl GroupId {

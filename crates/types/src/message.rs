@@ -2,12 +2,9 @@
 
 use crate::{DestSet, Error, GroupId, Result};
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a client process (`m.sender` in the paper).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct ClientId(pub u32);
 
 impl std::fmt::Display for ClientId {
@@ -22,7 +19,7 @@ impl std::fmt::Display for ClientId {
 /// sequence number, so `(sender, seq)` never collides across the system.
 /// Ordering on `MsgId` is lexicographic and used only for deterministic
 /// tie-breaking in data structures, never for delivery order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MsgId {
     /// The issuing client.
     pub sender: ClientId,
@@ -52,9 +49,8 @@ impl std::fmt::Display for MsgId {
 /// engine does on every deliver, forward, and replicated-outbox entry —
 /// bumps a refcount instead of copying the buffer.
 ///
-/// On the wire a payload encodes as raw length-prefixed bytes (not a
-/// serde sequence), which both shrinks the encoding and skips the
-/// per-element dispatch on the codec hot path.
+/// On the wire a payload encodes as raw length-prefixed bytes, one byte
+/// per payload byte (a `Vec<u8>` would encode each byte as a varint).
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct Payload(pub Bytes);
 
@@ -103,39 +99,6 @@ impl From<Bytes> for Payload {
     }
 }
 
-impl Serialize for Payload {
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        serializer.serialize_bytes(self.0.as_slice())
-    }
-}
-
-impl<'de> Deserialize<'de> for Payload {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        struct PayloadVisitor;
-        impl<'de> serde::de::Visitor<'de> for PayloadVisitor {
-            type Value = Payload;
-            fn expecting(&self, f: &mut std::fmt::Formatter) -> std::fmt::Result {
-                f.write_str("a byte buffer")
-            }
-            fn visit_bytes<E: serde::de::Error>(self, v: &[u8]) -> std::result::Result<Payload, E> {
-                Ok(Payload(Bytes::copy_from_slice(v)))
-            }
-            fn visit_byte_buf<E: serde::de::Error>(
-                self,
-                v: Vec<u8>,
-            ) -> std::result::Result<Payload, E> {
-                Ok(Payload(v.into()))
-            }
-        }
-        deserializer.deserialize_byte_buf(PayloadVisitor)
-    }
-}
-
 impl std::fmt::Debug for Payload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Payload({}B)", self.0.len())
@@ -166,7 +129,7 @@ impl std::fmt::Debug for Payload {
 /// effective — never incorrect. Entries are `(key, watermark)` pairs
 /// rather than a map so incremental advertisements (only the keys that
 /// changed since the last one) stay cheap on the wire.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Watermarks {
     /// Per-client vertex watermark: all seqs `<= wm` have been admitted.
     pub clients: Vec<(ClientId, u32)>,
@@ -205,7 +168,7 @@ impl Watermarks {
 /// assert_eq!(m.lca(), GroupId(1));
 /// assert!(m.is_global());
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Message {
     /// Globally unique identifier.
     pub id: MsgId,
